@@ -124,6 +124,9 @@ SolverPath LarSolver::fit_path(const Matrix& g, std::span<const Real> f,
   const Real c0 = max_abs(c);
   if (c0 <= Real{0}) return path;
 
+  // c = X' residual is current until the residual moves: event 0 and any
+  // event after a collinear skip reuse it instead of rescanning.
+  bool c_current = true;
   bool just_dropped = false;
   // Each loop iteration performs one LAR event (add or drop) plus a move.
   for (Index event = 0; event < 4 * max_steps + 8; ++event) {
@@ -131,7 +134,11 @@ SolverPath LarSolver::fit_path(const Matrix& g, std::span<const Real> f,
     check_cooperative_stop("lar.step");
     if (static_cast<Index>(active.size()) >= max_steps && !just_dropped) break;
 
-    gemv_transposed(x, residual, c);
+    if (!c_current) {
+      RSM_TRACE_SPAN("lar.scan");
+      gemv_transposed(x, residual, c);
+      c_current = true;
+    }
 
     if (!just_dropped) {
       // Admit the most correlated inactive column.
@@ -179,7 +186,10 @@ SolverPath LarSolver::fit_path(const Matrix& g, std::span<const Real> f,
     std::fill(u.begin(), u.end(), Real{0});
     for (std::size_t i = 0; i < active.size(); ++i)
       axpy(d[i], x.col(active[i]), u);
-    gemv_transposed(x, u, a);
+    {
+      RSM_TRACE_SPAN("lar.scan");
+      gemv_transposed(x, u, a);
+    }
 
     // Current common correlation magnitude of the active set.
     Real cmax = 0;
@@ -224,6 +234,7 @@ SolverPath LarSolver::fit_path(const Matrix& g, std::span<const Real> f,
     for (std::size_t i = 0; i < active.size(); ++i) beta[i] += gamma * d[i];
     axpy(gamma, u, mu);
     residual = vsub(f, mu);
+    c_current = false;
 
     if (drop >= 0) {
       const Index col = active[static_cast<std::size_t>(drop)];

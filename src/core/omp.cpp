@@ -44,7 +44,10 @@ SolverPath OmpSolver::fit_path(const ColumnSource& source,
     check_cooperative_stop("omp.iteration");
     // Step 3: xi_m = G_m' * Res for all m (the paper's 1/K factor is a
     // monotone scaling that does not affect the argmax).
-    source.correlate(residual, correlations);
+    {
+      RSM_TRACE_SPAN("omp.scan");
+      source.correlate(residual, correlations);
+    }
 
     // Step 4: pick the most correlated not-yet-selected column.
     Index best = -1;

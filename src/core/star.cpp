@@ -29,7 +29,10 @@ SolverPath StarSolver::fit_path(const Matrix& g, std::span<const Real> f,
   for (Index step = 0; step < max_steps; ++step) {
     RSM_TRACE_SPAN("star.iteration");
     check_cooperative_stop("star.iteration");
-    gemv_transposed(g, residual, correlations);
+    {
+      RSM_TRACE_SPAN("star.scan");
+      gemv_transposed(g, residual, correlations);
+    }
     const Index best = argmax_abs(correlations);
     if (best < 0) break;
 

@@ -2,7 +2,8 @@
 //
 // The OMP correlation scan (Step 3 of Algorithm 1) is a GEMV with the design
 // matrix transposed, so these kernels dominate solver runtime at the paper's
-// problem sizes (M ~ 2*10^4 columns, K ~ 10^3 rows).
+// problem sizes (M ~ 2*10^4 columns, K ~ 10^3 rows). That scan is the one
+// kernel here that runs on every core.
 #pragma once
 
 #include <span>
@@ -16,10 +17,25 @@ namespace rsm {
 /// y = A * x.
 void gemv(const Matrix& a, std::span<const Real> x, std::span<Real> y);
 
-/// y = A' * x  without materializing the transpose (row-major friendly:
-/// accumulates row r of A scaled by x[r] into y).
+/// y = A' * x without materializing the transpose: the correlation scan
+/// under every solver. The columns are split into contiguous ranges that
+/// run in parallel through parallel_for() (util/thread_pool.hpp) once
+/// rows * cols reaches a fixed work threshold; smaller scans, and scans
+/// called from a pool worker, run on the calling thread.
+///
+/// Summation order is fixed: every y[j] = ((0 + x[0]*a(0,j)) + x[1]*a(1,j))
+/// + ... over rows 0..K-1 in order, by one thread, multiply then add (no
+/// FMA). The result is therefore bit-identical for any thread count and
+/// any column split, and equal to a plain row-by-row scalar loop.
 void gemv_transposed(const Matrix& a, std::span<const Real> x,
                      std::span<Real> y);
+
+/// One thread's share of gemv_transposed: writes y[begin, end) only (y is
+/// the full a.cols() vector). Walks the range in column tiles that stay in
+/// L1 while the rows stream past them 4 at a time, keeping the summation
+/// order above, so any split of [0, a.cols()) gives the same bits.
+void gemv_transposed_columns(const Matrix& a, std::span<const Real> x,
+                             std::span<Real> y, Index begin, Index end);
 
 /// C = A * B (C must be preallocated to a.rows() x b.cols()). Blocked i-k-j
 /// loop order for row-major locality.

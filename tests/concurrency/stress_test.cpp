@@ -1,7 +1,8 @@
 // Multi-threaded stress for the observability and control-plane state that
 // campaign scaling (sharding, batching, async) will lean on: the metrics
 // registry, telemetry sink swapping under emission, trace spans across
-// thread exits, cancellation tokens, and the signal flags. Run under
+// thread exits, cancellation tokens, the signal flags, and the shared
+// parallel_for pool under concurrent correlation scans. Run under
 // -DRSM_SANITIZE=thread this is the repo's race detector; the assertions
 // themselves are deliberately coarse — the point is the interleavings.
 #include <atomic>
@@ -15,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "linalg/blas.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
@@ -22,6 +24,7 @@
 #include "util/errors.hpp"
 #include "util/signals.hpp"
 #include "util/sync.hpp"
+#include "util/thread_pool.hpp"
 
 namespace rsm {
 namespace {
@@ -164,6 +167,41 @@ TEST(ConcurrencyStress, TraceSpansAcrossThreadExit) {
   EXPECT_EQ(outer->count,
             static_cast<std::uint64_t>(20 * kThreads * 50));
   obs::reset_tracing();
+}
+
+TEST(ConcurrencyStress, ParallelForScansFromTwoForeignThreads) {
+  // Two threads the pool does not own scan at once, so both fan out to the
+  // one process-wide parallel_for pool; each must get exactly the bits of a
+  // scan computed alone. 600 x 1500 is above the parallel work threshold.
+  constexpr Index kRows = 600;
+  constexpr Index kCols = 1500;
+  Matrix g(kRows, kCols);
+  for (Index r = 0; r < kRows; ++r)
+    for (Index c = 0; c < kCols; ++c)
+      g(r, c) = static_cast<Real>((r * 7 + c * 13) % 101) / 50.0 - 1.0;
+  std::vector<std::vector<Real>> inputs(2), expected(2);
+  for (std::size_t t = 0; t < 2; ++t) {
+    inputs[t].resize(static_cast<std::size_t>(kRows));
+    for (Index r = 0; r < kRows; ++r)
+      inputs[t][static_cast<std::size_t>(r)] =
+          static_cast<Real>((r + 1) * (t + 2) % 17) - 8.0;
+    expected[t].resize(static_cast<std::size_t>(kCols));
+    gemv_transposed_columns(g, inputs[t], expected[t], 0, kCols);
+  }
+
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> scanners;
+  for (std::size_t t = 0; t < 2; ++t) {
+    scanners.emplace_back([&, t] {
+      std::vector<Real> out(static_cast<std::size_t>(kCols));
+      for (int i = 0; i < 200; ++i) {
+        gemv_transposed(g, inputs[t], out);
+        if (out != expected[t]) mismatches.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& s : scanners) s.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 TEST(ConcurrencyStress, CancellationFansOutToEveryWorker) {

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include "core/lar.hpp"
+#include "core/omp.hpp"
+#include "core/star.hpp"
+#include "stats/rng.hpp"
+#include "util/thread_pool.hpp"
+
 namespace rsm {
 namespace {
 
@@ -60,6 +66,46 @@ TEST(SolverPath, MismatchedActiveSetSizeThrows) {
   SolverPath p = prefix_path();
   p.active_sets = {{4}};  // wrong length vs 3 steps
   EXPECT_THROW((void)p.support(0), Error);
+}
+
+// Every solver scans through gemv_transposed, which splits G's columns over
+// the parallel_for pool when G is large and runs inline inside a ThreadPool
+// worker. The two must give the same path, bit for bit.
+TEST(SolverPath, ParallelAndInlineScansGiveIdenticalPaths) {
+  constexpr Index kRows = 300;
+  constexpr Index kCols = 2000;  // rows * cols is above the parallel threshold
+  Rng rng(11);
+  Matrix g(kRows, kCols);
+  for (Index r = 0; r < kRows; ++r) rng.fill_normal(g.row(r));
+  std::vector<Real> f = rng.normal_vector(kRows);
+  for (Index r = 0; r < kRows; ++r)
+    f[static_cast<std::size_t>(r)] =
+        0.1 * f[static_cast<std::size_t>(r)] + 3.0 * g(r, 5) -
+        2.0 * g(r, 77) + 0.5 * g(r, 1500);
+
+  LarSolver::Options lasso_options;
+  lasso_options.lasso = true;
+  const OmpSolver omp;
+  const StarSolver star;
+  const LarSolver lar;
+  const LarSolver lasso(lasso_options);
+  ThreadPool::Options pool_options;
+  pool_options.num_threads = 1;
+  ThreadPool pool(pool_options);
+  for (const PathSolver* solver :
+       std::initializer_list<const PathSolver*>{&omp, &star, &lar, &lasso}) {
+    const SolverPath parallel = solver->fit_path(g, f, 40);
+    SolverPath serial;
+    pool.submit([&] { serial = solver->fit_path(g, f, 40); });
+    pool.wait_idle();
+    ASSERT_GT(parallel.num_steps(), 0) << solver->name();
+    EXPECT_EQ(parallel.selection_order, serial.selection_order)
+        << solver->name();
+    EXPECT_EQ(parallel.active_sets, serial.active_sets) << solver->name();
+    EXPECT_EQ(parallel.coefficients, serial.coefficients) << solver->name();
+    EXPECT_EQ(parallel.residual_norms, serial.residual_norms)
+        << solver->name();
+  }
 }
 
 }  // namespace

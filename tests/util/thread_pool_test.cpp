@@ -1,5 +1,6 @@
 // Work-stealing thread pool: execution, backpressure, retirement, the
-// exception backstop, and RSM_THREADS worker-count resolution.
+// exception backstop, RSM_THREADS worker-count resolution, and the
+// parallel_for fork-join entry point.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -7,6 +8,7 @@
 #include <cstdlib>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -299,6 +301,79 @@ TEST(ThreadPoolTest, WorkStealingKeepsManyWorkersBusy) {
   // All four workers should have participated (round-robin placement alone
   // guarantees this; stealing guarantees it even under skew).
   EXPECT_EQ(seen.size(), 4u);
+}
+
+TEST(ParallelForTest, EveryPartRunsExactlyOnce) {
+  ASSERT_GE(parallel_width(), 1);
+  for (const int parts : {0, 1, 2, 3, 7, 64, 1000}) {
+    std::vector<std::atomic<int>> hits(static_cast<std::size_t>(parts));
+    std::set<std::thread::id> threads;
+    Mutex threads_mutex{"test.threads"};
+    parallel_for(parts, [&](int part) {
+      hits[static_cast<std::size_t>(part)]++;
+      MutexLock lock(threads_mutex);
+      threads.insert(std::this_thread::get_id());
+    });
+    for (int i = 0; i < parts; ++i)
+      EXPECT_EQ(hits[static_cast<std::size_t>(i)].load(), 1)
+          << "part " << i << " of " << parts;
+    // The caller plus at most parallel_width() - 1 helpers.
+    EXPECT_LE(threads.size(), static_cast<std::size_t>(parallel_width()));
+  }
+  EXPECT_THROW(parallel_for(-1, [](int) {}), Error);
+}
+
+TEST(ParallelForTest, CallFromInsidePoolTaskRunsInline) {
+  // A one-worker pool: if the nested call waited on pool workers instead of
+  // running inline it could never finish.
+  ThreadPool::Options options;
+  options.num_threads = 1;
+  ThreadPool pool(options);
+  std::atomic<int> executed{0};
+  std::atomic<bool> inline_only{true};
+  for (int task = 0; task < 4; ++task) {
+    pool.submit([&executed, &inline_only] {
+      const std::thread::id self = std::this_thread::get_id();
+      std::vector<int> order;
+      parallel_for(8, [&](int part) {
+        if (std::this_thread::get_id() != self) inline_only = false;
+        order.push_back(part);  // inline: no other thread touches it
+        executed++;
+      });
+      if (order != std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7})
+        inline_only = false;
+    });
+  }
+  pool.wait_idle();
+  EXPECT_EQ(executed.load(), 32);
+  EXPECT_TRUE(inline_only.load());
+}
+
+TEST(ParallelForTest, NestedCallsFromPartsFinish) {
+  std::atomic<int> executed{0};
+  parallel_for(4, [&executed](int) {
+    parallel_for(4, [&executed](int) { executed++; });
+  });
+  EXPECT_EQ(executed.load(), 16);
+}
+
+TEST(ParallelForTest, ExceptionRethrownAfterEveryPartFinished) {
+  constexpr int kParts = 16;
+  std::atomic<int> finished{0};
+  try {
+    parallel_for(kParts, [&finished](int part) {
+      if (part == 3 || part == 9)
+        throw std::runtime_error("part " + std::to_string(part));
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      finished++;
+    });
+    FAIL() << "parallel_for swallowed the exception";
+  } catch (const std::runtime_error& e) {
+    // Every non-throwing part finished before the rethrow, and the lowest
+    // failing part wins whatever the interleaving.
+    EXPECT_EQ(finished.load(), kParts - 2);
+    EXPECT_EQ(std::string(e.what()), "part 3");
+  }
 }
 
 }  // namespace
