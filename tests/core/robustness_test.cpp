@@ -3,6 +3,7 @@
 // crash, loop, or return silently wrong shapes.
 #include <cmath>
 #include <limits>
+#include <ostream>
 
 #include <gtest/gtest.h>
 
@@ -143,8 +144,18 @@ TEST(Robustness, DuplicateRowsAreHarmless) {
   EXPECT_LT(path.residual_norms.back(), 1e-10);
 }
 
-class AllSolversDegenerate
-    : public ::testing::TestWithParam<const PathSolver*> {};
+// The sweep parameter prints as the solver's name, so test names (and the
+// ctest names gtest_discover_tests derives from the printed value) stay the
+// same from run to run instead of carrying an ASLR-dependent address.
+struct NamedSolver {
+  const PathSolver* solver;
+};
+
+void PrintTo(const NamedSolver& s, std::ostream* os) {
+  *os << s.solver->name();
+}
+
+class AllSolversDegenerate : public ::testing::TestWithParam<NamedSolver> {};
 
 // Shared instances for the parameterized sweep.
 const OmpSolver kOmp;
@@ -159,7 +170,7 @@ TEST_P(AllSolversDegenerate, SingleSampleSingleColumn) {
   const std::vector<Real> f{3.0, 3.0};
   // Generous step budget: LASSO-CD interprets steps as penalty-grid points
   // and needs several to relax the shrinkage toward the exact fit.
-  const SolverPath path = GetParam()->fit_path(g, f, 40);
+  const SolverPath path = GetParam().solver->fit_path(g, f, 40);
   ASSERT_GT(path.num_steps(), 0);
   const std::vector<Real> dense =
       path.dense_coefficients(path.num_steps() - 1, 1);
@@ -170,7 +181,7 @@ TEST_P(AllSolversDegenerate, ZeroTarget) {
   Rng rng(16);
   const Matrix g = monte_carlo_normal(15, 6, rng);
   const std::vector<Real> f(15, 0.0);
-  const SolverPath path = GetParam()->fit_path(g, f, 4);
+  const SolverPath path = GetParam().solver->fit_path(g, f, 4);
   // Either an empty path or all-zero coefficients.
   for (Index t = 0; t < path.num_steps(); ++t)
     for (Real c : path.coefficients[static_cast<std::size_t>(t)])
@@ -178,7 +189,10 @@ TEST_P(AllSolversDegenerate, ZeroTarget) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Solvers, AllSolversDegenerate,
-                         ::testing::Values(&kOmp, &kStar, &kLar, &kLasso));
+                         ::testing::Values(NamedSolver{&kOmp},
+                                           NamedSolver{&kStar},
+                                           NamedSolver{&kLar},
+                                           NamedSolver{&kLasso}));
 
 }  // namespace
 }  // namespace rsm
