@@ -8,15 +8,23 @@
 
 namespace rsm {
 
+MaterializedSource::MaterializedSource(const Matrix& g,
+                                       std::span<const Index> rows)
+    : g_(&g), rows_(rows) {
+  for (Index r : rows_) RSM_CHECK(0 <= r && r < g.rows());
+}
+
 void MaterializedSource::correlate(std::span<const Real> x,
                                    std::span<Real> out) const {
-  gemv_transposed(*g_, x, out);
+  gemv_transposed(*g_, x, out, rows_);
 }
 
 void MaterializedSource::column(Index j, std::span<Real> out) const {
-  RSM_CHECK(static_cast<Index>(out.size()) == g_->rows());
-  for (Index r = 0; r < g_->rows(); ++r)
-    out[static_cast<std::size_t>(r)] = (*g_)(r, j);
+  RSM_CHECK(static_cast<Index>(out.size()) == rows());
+  RSM_CHECK(0 <= j && j < g_->cols());
+  for (Index i = 0; i < rows(); ++i)
+    out[static_cast<std::size_t>(i)] =
+        (*g_)(rows_.empty() ? i : rows_[static_cast<std::size_t>(i)], j);
 }
 
 DictionarySource::DictionarySource(

@@ -1,10 +1,18 @@
-// Streaming access to design-matrix columns.
+// Streaming access to design-matrix columns: the one correlation operator
+// under every path solver.
 //
-// The paper targets up to 10^6 model coefficients; at K = 10^3 samples a
-// materialized design matrix would be 8 GB. A ColumnSource abstracts "the
-// K x M matrix G" behind two operations — correlate a residual against every
-// column, and fetch one column — so OMP can run against a dictionary that is
-// evaluated lazily, block by block, in O(K * block) memory.
+// A ColumnSource abstracts "the K x M matrix G" behind two operations —
+// correlate a residual against every column, and fetch one column — and
+// every PathSolver (OMP, STAR, LAR, CoSaMP, stagewise, LASSO-CD) fits
+// through them alone. Three sources exist:
+//  - MaterializedSource: an explicit matrix (the fast path the benches use);
+//  - MaterializedSource with a row list: a view of some rows of a matrix,
+//    which is how cross-validation hands each fold its training rows
+//    without copying them;
+//  - DictionarySource: a dictionary evaluated lazily, row by row, in
+//    O(N * max_order) memory. The paper targets up to 10^6 model
+//    coefficients; at K = 10^3 samples a materialized design matrix would
+//    be 8 GB.
 #pragma once
 
 #include <memory>
@@ -25,24 +33,32 @@ class ColumnSource {
   [[nodiscard]] virtual Index num_columns() const = 0;
 
   /// out[j] = G_j' x for every column j. out.size() == num_columns().
-  virtual void correlate(std::span<const Real> x, std::span<Real> out) const = 0;
+  virtual void correlate(std::span<const Real> x,
+                         std::span<Real> out) const = 0;
 
   /// Materializes column j. out.size() == rows().
   virtual void column(Index j, std::span<Real> out) const = 0;
 };
 
-/// Wraps an explicit matrix (the fast path used by the benches).
+/// Wraps an explicit matrix, or a view of some of its rows. `rows` lists
+/// the rows of `g` the source exposes, in order: source row i is g's row
+/// rows[i]. An empty list means every row of g in order. The matrix and the
+/// list are kept by reference; the caller owns both.
 class MaterializedSource final : public ColumnSource {
  public:
-  explicit MaterializedSource(const Matrix& g) : g_(&g) {}
+  explicit MaterializedSource(const Matrix& g,
+                              std::span<const Index> rows = {});
 
-  [[nodiscard]] Index rows() const override { return g_->rows(); }
+  [[nodiscard]] Index rows() const override {
+    return rows_.empty() ? g_->rows() : static_cast<Index>(rows_.size());
+  }
   [[nodiscard]] Index num_columns() const override { return g_->cols(); }
   void correlate(std::span<const Real> x, std::span<Real> out) const override;
   void column(Index j, std::span<Real> out) const override;
 
  private:
   const Matrix* g_;
+  std::span<const Index> rows_;
 };
 
 /// Evaluates dictionary columns on demand: the correlation scan walks the

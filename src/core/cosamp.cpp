@@ -30,11 +30,15 @@ std::vector<Index> top_indices(std::span<const Real> values, Index count) {
 
 /// LS fit of f on the columns `support` of g; returns coefficients aligned
 /// with `support`. Rank-deficient supports fall back to a tiny ridge.
-std::vector<Real> ls_on_support(const Matrix& g, std::span<const Real> f,
+std::vector<Real> ls_on_support(const ColumnSource& g,
+                                std::span<const Real> f,
                                 std::span<const Index> support) {
   Matrix g_sup(g.rows(), static_cast<Index>(support.size()));
-  for (std::size_t j = 0; j < support.size(); ++j)
-    g_sup.set_col(static_cast<Index>(j), g.col(support[j]));
+  std::vector<Real> column(static_cast<std::size_t>(g.rows()));
+  for (std::size_t j = 0; j < support.size(); ++j) {
+    g.column(support[j], column);
+    g_sup.set_col(static_cast<Index>(j), column);
+  }
   QrFactorization qr(g_sup);
   if (!qr.rank_deficient()) return qr.solve(f);
   // Degenerate candidate set (duplicated columns): ridge-regularized
@@ -49,18 +53,19 @@ std::vector<Real> ls_on_support(const Matrix& g, std::span<const Real> f,
 
 }  // namespace
 
-SolverPath CosampSolver::fit_at_sparsity(const Matrix& g,
+SolverPath CosampSolver::fit_at_sparsity(const ColumnSource& g,
                                          std::span<const Real> f,
                                          Index sparsity) const {
   RSM_TRACE_SPAN("cosamp.fit");
   const Index k = g.rows();
-  const Index m = g.cols();
+  const Index m = g.num_columns();
   RSM_CHECK(static_cast<Index>(f.size()) == k);
   RSM_CHECK(sparsity > 0);
   sparsity = std::min(sparsity, std::min(k / 2, m));
 
   std::vector<Real> residual(f.begin(), f.end());
   std::vector<Real> corr(static_cast<std::size_t>(m));
+  std::vector<Real> column(static_cast<std::size_t>(k));
   std::vector<Index> support;
   std::vector<Real> coef;
   Real prev_res_norm = nrm2(f);
@@ -70,7 +75,7 @@ SolverPath CosampSolver::fit_at_sparsity(const Matrix& g,
     // Identify: up to 2s largest proxy correlations, merged with the
     // current support — capped so the merged candidate set stays solvable
     // by LS (at most k columns).
-    gemv_transposed(g, residual, corr);
+    g.correlate(residual, corr);
     const Index proposal_size =
         std::min<Index>(2 * sparsity,
                         k - static_cast<Index>(support.size()));
@@ -92,8 +97,10 @@ SolverPath CosampSolver::fit_at_sparsity(const Matrix& g,
     // Re-fit on the pruned support and update the residual.
     coef = ls_on_support(g, f, new_support);
     residual.assign(f.begin(), f.end());
-    for (std::size_t j = 0; j < new_support.size(); ++j)
-      axpy(-coef[j], g.col(new_support[j]), residual);
+    for (std::size_t j = 0; j < new_support.size(); ++j) {
+      g.column(new_support[j], column);
+      axpy(-coef[j], column, residual);
+    }
     support = std::move(new_support);
 
     const Real res_norm = nrm2(residual);
@@ -120,7 +127,8 @@ SolverPath CosampSolver::fit_at_sparsity(const Matrix& g,
   return path;
 }
 
-SolverPath CosampSolver::fit_path(const Matrix& g, std::span<const Real> f,
+SolverPath CosampSolver::fit_path(const ColumnSource& g,
+                                  std::span<const Real> f,
                                   Index max_steps) const {
   RSM_CHECK(max_steps > 0);
   SolverPath path;

@@ -31,11 +31,13 @@ class CosampSolver final : public PathSolver {
   /// Path semantics differ from OMP's: step t is the *converged* CoSaMP
   /// solution at sparsity s = t + 1 (supports are not nested between steps;
   /// active_sets is always populated).
-  [[nodiscard]] SolverPath fit_path(const Matrix& g, std::span<const Real> f,
+  using PathSolver::fit_path;
+  [[nodiscard]] SolverPath fit_path(const ColumnSource& g,
+                                    std::span<const Real> f,
                                     Index max_steps) const override;
 
   /// Single solve at a fixed sparsity (the usual way CoSaMP is run).
-  [[nodiscard]] SolverPath fit_at_sparsity(const Matrix& g,
+  [[nodiscard]] SolverPath fit_at_sparsity(const ColumnSource& g,
                                            std::span<const Real> f,
                                            Index sparsity) const;
 

@@ -4,13 +4,28 @@
 #include <limits>
 #include <numeric>
 
+#include "core/column_source.hpp"
 #include "core/metrics.hpp"
-#include "linalg/blas.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "util/log.hpp"
 
 namespace rsm {
+namespace {
+
+/// Sorted, distinct columns in any step's support.
+std::vector<Index> columns_used(const SolverPath& path) {
+  std::vector<Index> used;
+  for (Index t = 0; t < path.num_steps(); ++t) {
+    const std::vector<Index> sup = path.support(t);
+    used.insert(used.end(), sup.begin(), sup.end());
+  }
+  std::sort(used.begin(), used.end());
+  used.erase(std::unique(used.begin(), used.end()), used.end());
+  return used;
+}
+
+}  // namespace
 
 CrossValidator::CrossValidator(const Options& options) : options_(options) {
   RSM_CHECK_MSG(options.num_folds >= 2, "cross-validation needs >= 2 folds");
@@ -22,7 +37,6 @@ CrossValidationResult CrossValidator::run(const PathSolver& solver,
                                           Index max_lambda) const {
   RSM_TRACE_SPAN("cv.run");
   const Index num_samples = g.rows();
-  const Index num_columns = g.cols();
   RSM_CHECK(static_cast<Index>(f.size()) == num_samples);
   const int q = options_.num_folds;
   RSM_CHECK_MSG(num_samples >= 2 * q,
@@ -51,20 +65,15 @@ CrossValidationResult CrossValidator::run(const PathSolver& solver,
       }
     }
 
-    Matrix g_train(static_cast<Index>(train_rows.size()), num_columns);
+    // The fold trains on a view of G's training rows, in this order, so its
+    // scans sum exactly what a copy of those rows would.
+    const MaterializedSource train(g, train_rows);
     std::vector<Real> f_train(train_rows.size());
-    for (std::size_t r = 0; r < train_rows.size(); ++r) {
-      std::copy(g.row(train_rows[r]).begin(), g.row(train_rows[r]).end(),
-                g_train.row(static_cast<Index>(r)).begin());
+    for (std::size_t r = 0; r < train_rows.size(); ++r)
       f_train[r] = f[static_cast<std::size_t>(train_rows[r])];
-    }
-    Matrix g_test(static_cast<Index>(test_rows.size()), num_columns);
     std::vector<Real> f_test(test_rows.size());
-    for (std::size_t r = 0; r < test_rows.size(); ++r) {
-      std::copy(g.row(test_rows[r]).begin(), g.row(test_rows[r]).end(),
-                g_test.row(static_cast<Index>(r)).begin());
+    for (std::size_t r = 0; r < test_rows.size(); ++r)
       f_test[r] = f[static_cast<std::size_t>(test_rows[r])];
-    }
 
     // One path fit per fold; evaluate every lambda on the held-out fold. A
     // degenerate fold (rank-collapsed training block, a solver that cannot
@@ -72,7 +81,7 @@ CrossValidationResult CrossValidator::run(const PathSolver& solver,
     // barely moves the averaged eps(lambda), aborting loses the campaign.
     SolverPath path;
     try {
-      path = solver.fit_path(g_train, f_train, max_lambda);
+      path = solver.fit_path(train, f_train, max_lambda);
     } catch (const Error& e) {
       // Only *numerical* failures are a property of the fold; a deadline or
       // cancellation unwind is a property of the run and must propagate —
@@ -93,18 +102,32 @@ CrossValidationResult CrossValidator::run(const PathSolver& solver,
       }
       continue;
     }
+    // Score every step on the held-out rows. The held-out values of the
+    // columns the path uses (a few hundred at most, not M) are gathered
+    // once, so the steps read them contiguously instead of striding over G.
+    const std::vector<Index> used = columns_used(path);
+    const std::size_t num_test = test_rows.size();
+    std::vector<Real> held_out(used.size() * num_test);
+    const MaterializedSource test(g, test_rows);
+    for (std::size_t u = 0; u < used.size(); ++u) {
+      const std::span<Real> column(held_out.data() + u * num_test, num_test);
+      test.column(used[u], column);
+    }
     std::vector<Real>& curve =
         result.fold_curves[static_cast<std::size_t>(fold)];
     curve.reserve(static_cast<std::size_t>(path.num_steps()));
-    std::vector<Real> pred(test_rows.size());
+    std::vector<Real> pred(num_test);
     for (Index t = 0; t < path.num_steps(); ++t) {
       const std::vector<Index> sup = path.support(t);
       const std::vector<Real>& coef =
           path.coefficients[static_cast<std::size_t>(t)];
       std::fill(pred.begin(), pred.end(), Real{0});
       for (std::size_t s = 0; s < sup.size(); ++s) {
-        for (std::size_t r = 0; r < test_rows.size(); ++r)
-          pred[r] += coef[s] * g_test(static_cast<Index>(r), sup[s]);
+        const auto u = static_cast<std::size_t>(
+            std::lower_bound(used.begin(), used.end(), sup[s]) - used.begin());
+        const Real* column = held_out.data() + u * num_test;
+        for (std::size_t r = 0; r < num_test; ++r)
+          pred[r] += coef[s] * column[r];
       }
       curve.push_back(relative_rms_error(pred, f_test));
     }

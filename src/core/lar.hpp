@@ -9,8 +9,9 @@
 // active set, making the path exactly the LASSO solution path.
 //
 // Implementation notes:
-//  - columns are normalized to unit 2-norm internally; reported
-//    coefficients are de-normalized back to design-matrix scale;
+//  - columns are normalized to unit 2-norm in one K x M copy, read column
+//    by column from the source; reported coefficients are de-normalized
+//    back to design-matrix scale;
 //  - the active-set Gram matrix keeps an incrementally grown Cholesky
 //    factor (O(p^2) per added column, rebuild on LASSO drop);
 //  - per step the dominant cost is two K x M correlations (c = G'r and
@@ -37,7 +38,9 @@ class LarSolver final : public PathSolver {
   LarSolver() = default;
   explicit LarSolver(const Options& options) : options_(options) {}
 
-  [[nodiscard]] SolverPath fit_path(const Matrix& g, std::span<const Real> f,
+  using PathSolver::fit_path;
+  [[nodiscard]] SolverPath fit_path(const ColumnSource& g,
+                                    std::span<const Real> f,
                                     Index max_steps) const override;
 
   [[nodiscard]] const char* name() const override { return "LAR"; }

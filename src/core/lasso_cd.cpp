@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "linalg/blas.hpp"
 #include "linalg/vector_ops.hpp"
 
 namespace rsm {
@@ -15,14 +14,29 @@ Real soft_threshold(Real z, Real gamma) {
   return 0;
 }
 
+/// ||G_j||^2 / K for every column j.
+std::vector<Real> column_sq_over_k(const ColumnSource& g) {
+  const Index k = g.rows();
+  std::vector<Real> column(static_cast<std::size_t>(k));
+  std::vector<Real> col_sq(static_cast<std::size_t>(g.num_columns()));
+  for (Index j = 0; j < g.num_columns(); ++j) {
+    g.column(j, column);
+    Real s = 0;
+    for (Real v : column) s += v * v;
+    col_sq[static_cast<std::size_t>(j)] = s / static_cast<Real>(k);
+  }
+  return col_sq;
+}
+
 /// Cyclic coordinate descent at one penalty, updating `beta` in place.
 /// `residual` is maintained as f - G beta. `col_sq` holds ||G_j||^2 / K.
-void descend(const Matrix& g, Real mu, std::span<const Real> col_sq,
+void descend(const ColumnSource& g, Real mu, std::span<const Real> col_sq,
              std::vector<Real>& beta, std::vector<Real>& residual,
              Real tolerance, int max_sweeps) {
   const Index k = g.rows();
-  const Index m = g.cols();
+  const Index m = g.num_columns();
   const Real inv_k = Real{1} / static_cast<Real>(k);
+  std::vector<Real> column(static_cast<std::size_t>(k));
 
   for (int sweep = 0; sweep < max_sweeps; ++sweep) {
     Real max_delta = 0, max_beta = 0;
@@ -30,9 +44,11 @@ void descend(const Matrix& g, Real mu, std::span<const Real> col_sq,
       const Real sq = col_sq[static_cast<std::size_t>(j)];
       if (sq <= 0) continue;
       // Partial residual correlation: z = (1/K) G_j'(r + G_j beta_j).
+      g.column(j, column);
       Real corr = 0;
       for (Index r = 0; r < k; ++r)
-        corr += g(r, j) * residual[static_cast<std::size_t>(r)];
+        corr += column[static_cast<std::size_t>(r)] *
+                residual[static_cast<std::size_t>(r)];
       corr *= inv_k;
       const Real old = beta[static_cast<std::size_t>(j)];
       const Real z = corr + sq * old;
@@ -41,7 +57,8 @@ void descend(const Matrix& g, Real mu, std::span<const Real> col_sq,
       if (delta != 0) {
         beta[static_cast<std::size_t>(j)] = updated;
         for (Index r = 0; r < k; ++r)
-          residual[static_cast<std::size_t>(r)] -= delta * g(r, j);
+          residual[static_cast<std::size_t>(r)] -=
+              delta * column[static_cast<std::size_t>(r)];
       }
       max_delta = std::max(max_delta, std::abs(delta));
       max_beta = std::max(max_beta, std::abs(updated));
@@ -52,23 +69,19 @@ void descend(const Matrix& g, Real mu, std::span<const Real> col_sq,
 
 }  // namespace
 
-SolverPath LassoCdSolver::fit_path(const Matrix& g, std::span<const Real> f,
+SolverPath LassoCdSolver::fit_path(const ColumnSource& g,
+                                   std::span<const Real> f,
                                    Index max_steps) const {
   const Index k = g.rows();
-  const Index m = g.cols();
+  const Index m = g.num_columns();
   RSM_CHECK(static_cast<Index>(f.size()) == k);
   RSM_CHECK(max_steps > 0);
 
-  std::vector<Real> col_sq(static_cast<std::size_t>(m));
-  for (Index j = 0; j < m; ++j) {
-    Real s = 0;
-    for (Index r = 0; r < k; ++r) s += g(r, j) * g(r, j);
-    col_sq[static_cast<std::size_t>(j)] = s / static_cast<Real>(k);
-  }
+  const std::vector<Real> col_sq = column_sq_over_k(g);
 
   // mu_max: smallest penalty that zeroes everything = max |G'f| / K.
   std::vector<Real> corr(static_cast<std::size_t>(m));
-  gemv_transposed(g, f, corr);
+  g.correlate(f, corr);
   Real mu_max = 0;
   for (Real c : corr) mu_max = std::max(mu_max, std::abs(c));
   mu_max /= static_cast<Real>(k);
@@ -101,22 +114,14 @@ SolverPath LassoCdSolver::fit_path(const Matrix& g, std::span<const Real> f,
   return path;
 }
 
-std::vector<Real> LassoCdSolver::fit_at(const Matrix& g,
+std::vector<Real> LassoCdSolver::fit_at(const ColumnSource& g,
                                         std::span<const Real> f,
                                         Real mu) const {
-  const Index k = g.rows();
-  const Index m = g.cols();
-  RSM_CHECK(static_cast<Index>(f.size()) == k);
+  RSM_CHECK(static_cast<Index>(f.size()) == g.rows());
   RSM_CHECK(mu >= 0);
-  std::vector<Real> col_sq(static_cast<std::size_t>(m));
-  for (Index j = 0; j < m; ++j) {
-    Real s = 0;
-    for (Index r = 0; r < k; ++r) s += g(r, j) * g(r, j);
-    col_sq[static_cast<std::size_t>(j)] = s / static_cast<Real>(k);
-  }
-  std::vector<Real> beta(static_cast<std::size_t>(m), Real{0});
+  std::vector<Real> beta(static_cast<std::size_t>(g.num_columns()), Real{0});
   std::vector<Real> residual(f.begin(), f.end());
-  descend(g, mu, col_sq, beta, residual, options_.tolerance,
+  descend(g, mu, column_sq_over_k(g), beta, residual, options_.tolerance,
           options_.max_sweeps_per_mu);
   return beta;
 }

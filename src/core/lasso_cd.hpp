@@ -34,11 +34,13 @@ class LassoCdSolver final : public PathSolver {
 
   /// Path step t holds the active set and coefficients at grid point mu_t
   /// (warm-started from mu_{t-1}).
-  [[nodiscard]] SolverPath fit_path(const Matrix& g, std::span<const Real> f,
+  using PathSolver::fit_path;
+  [[nodiscard]] SolverPath fit_path(const ColumnSource& g,
+                                    std::span<const Real> f,
                                     Index max_steps) const override;
 
   /// Single solve at an explicit penalty; returns the dense coefficients.
-  [[nodiscard]] std::vector<Real> fit_at(const Matrix& g,
+  [[nodiscard]] std::vector<Real> fit_at(const ColumnSource& g,
                                          std::span<const Real> f,
                                          Real mu) const;
 

@@ -12,17 +12,12 @@
 
 namespace rsm {
 
-SolverPath OmpSolver::fit_path(const Matrix& g, std::span<const Real> f,
-                               Index max_steps) const {
-  return fit_path(MaterializedSource(g), f, max_steps);
-}
-
-SolverPath OmpSolver::fit_path(const ColumnSource& source,
+SolverPath OmpSolver::fit_path(const ColumnSource& g,
                                std::span<const Real> f,
                                Index max_steps) const {
   RSM_TRACE_SPAN("omp.fit");
-  const Index num_samples = source.rows();
-  const Index num_columns = source.num_columns();
+  const Index num_samples = g.rows();
+  const Index num_columns = g.num_columns();
   RSM_CHECK(static_cast<Index>(f.size()) == num_samples);
   RSM_CHECK(max_steps > 0);
   max_steps = std::min(max_steps, std::min(num_samples, num_columns));
@@ -46,7 +41,7 @@ SolverPath OmpSolver::fit_path(const ColumnSource& source,
     // monotone scaling that does not affect the argmax).
     {
       RSM_TRACE_SPAN("omp.scan");
-      source.correlate(residual, correlations);
+      g.correlate(residual, correlations);
     }
 
     // Step 4: pick the most correlated not-yet-selected column.
@@ -64,7 +59,7 @@ SolverPath OmpSolver::fit_path(const ColumnSource& source,
 
     // Step 5-6: grow the QR with the new column; if it is numerically
     // dependent on the active set, mark it and try the next candidate.
-    source.column(best, column);
+    g.column(best, column);
     if (!qr.append_column(column, options_.dependence_tolerance)) {
       selected[static_cast<std::size_t>(best)] = true;
       --step;  // retry this step with the next-best column

@@ -7,7 +7,6 @@
 // is numerically identical to re-fitting from scratch but O(lambda) cheaper.
 #pragma once
 
-#include "core/column_source.hpp"
 #include "core/solver_path.hpp"
 
 namespace rsm {
@@ -27,15 +26,10 @@ class OmpSolver final : public PathSolver {
   OmpSolver() = default;
   explicit OmpSolver(const Options& options) : options_(options) {}
 
-  [[nodiscard]] SolverPath fit_path(const Matrix& g, std::span<const Real> f,
-                                    Index max_steps) const override;
-
-  /// Streaming variant: runs against any ColumnSource (e.g. a lazily
-  /// evaluated dictionary for M ~ 10^6, where G never materializes). The
-  /// matrix overload above delegates here through MaterializedSource.
-  [[nodiscard]] SolverPath fit_path(const ColumnSource& source,
+  using PathSolver::fit_path;
+  [[nodiscard]] SolverPath fit_path(const ColumnSource& g,
                                     std::span<const Real> f,
-                                    Index max_steps) const;
+                                    Index max_steps) const override;
 
   [[nodiscard]] const char* name() const override { return "OMP"; }
 

@@ -29,4 +29,9 @@ std::vector<Real> SolverPath::dense_coefficients(Index t,
   return dense;
 }
 
+SolverPath PathSolver::fit_path(const Matrix& g, std::span<const Real> f,
+                                Index max_steps) const {
+  return fit_path(MaterializedSource(g), f, max_steps);
+}
+
 }  // namespace rsm

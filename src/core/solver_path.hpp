@@ -9,6 +9,7 @@
 #include <span>
 #include <vector>
 
+#include "core/column_source.hpp"
 #include "linalg/matrix.hpp"
 #include "util/common.hpp"
 
@@ -48,16 +49,24 @@ struct SolverPath {
                                                      Index num_columns) const;
 };
 
-/// Abstract path-emitting sparse solver over a materialized design matrix.
+/// Abstract path-emitting sparse solver. Every solver reads G only through
+/// a ColumnSource (core/column_source.hpp), so the same fit runs on a
+/// matrix, on a row view of one (a cross-validation fold), or on a lazily
+/// evaluated dictionary. Derived classes override the source overload and
+/// re-export the matrix one with `using PathSolver::fit_path;`.
 class PathSolver {
  public:
   virtual ~PathSolver() = default;
 
   /// Fits up to `max_steps` steps of the path for min ||G a - F||_2 with the
   /// method's sparsity heuristic. F.size() == G.rows().
-  [[nodiscard]] virtual SolverPath fit_path(const Matrix& g,
+  [[nodiscard]] virtual SolverPath fit_path(const ColumnSource& g,
                                             std::span<const Real> f,
                                             Index max_steps) const = 0;
+
+  /// The same fit on an explicit matrix (MaterializedSource(g)).
+  [[nodiscard]] SolverPath fit_path(const Matrix& g, std::span<const Real> f,
+                                    Index max_steps) const;
 
   /// Method name for reports ("OMP", "STAR", "LAR", ...).
   [[nodiscard]] virtual const char* name() const = 0;

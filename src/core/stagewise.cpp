@@ -3,23 +3,25 @@
 #include <algorithm>
 #include <cmath>
 
-#include "linalg/blas.hpp"
 #include "linalg/vector_ops.hpp"
 
 namespace rsm {
 
-SolverPath StagewiseSolver::fit_path(const Matrix& g, std::span<const Real> f,
+SolverPath StagewiseSolver::fit_path(const ColumnSource& g,
+                                     std::span<const Real> f,
                                      Index max_steps) const {
   const Index k = g.rows();
-  const Index m = g.cols();
+  const Index m = g.num_columns();
   RSM_CHECK(static_cast<Index>(f.size()) == k);
   RSM_CHECK(max_steps > 0);
   RSM_CHECK(options_.epsilon > 0 && options_.steps_per_record > 0);
 
+  std::vector<Real> column(static_cast<std::size_t>(k));
   std::vector<Real> col_sq(static_cast<std::size_t>(m));
   for (Index j = 0; j < m; ++j) {
+    g.column(j, column);
     Real s = 0;
-    for (Index r = 0; r < k; ++r) s += g(r, j) * g(r, j);
+    for (Real v : column) s += v * v;
     col_sq[static_cast<std::size_t>(j)] = s;
   }
 
@@ -29,7 +31,7 @@ SolverPath StagewiseSolver::fit_path(const Matrix& g, std::span<const Real> f,
 
   // Absolute nudge: epsilon * (projection coefficient of the best column at
   // the start). Scales the path to the data.
-  gemv_transposed(g, residual, corr);
+  g.correlate(residual, corr);
   Real max_proj = 0;
   for (Index j = 0; j < m; ++j) {
     if (col_sq[static_cast<std::size_t>(j)] <= 0) continue;
@@ -43,7 +45,7 @@ SolverPath StagewiseSolver::fit_path(const Matrix& g, std::span<const Real> f,
 
   for (Index rec = 0; rec < max_steps; ++rec) {
     for (Index micro = 0; micro < options_.steps_per_record; ++micro) {
-      gemv_transposed(g, residual, corr);
+      g.correlate(residual, corr);
       Index best = -1;
       Real best_val = 0;
       for (Index j = 0; j < m; ++j) {
@@ -62,8 +64,10 @@ SolverPath StagewiseSolver::fit_path(const Matrix& g, std::span<const Real> f,
                         col_sq[static_cast<std::size_t>(best)];
       const Real step = sign * std::min(nudge, proj);
       beta[static_cast<std::size_t>(best)] += step;
+      g.column(best, column);
       for (Index r = 0; r < k; ++r)
-        residual[static_cast<std::size_t>(r)] -= step * g(r, best);
+        residual[static_cast<std::size_t>(r)] -=
+            step * column[static_cast<std::size_t>(r)];
     }
 
     std::vector<Index> active;

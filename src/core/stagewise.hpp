@@ -26,7 +26,9 @@ class StagewiseSolver final : public PathSolver {
   StagewiseSolver() = default;
   explicit StagewiseSolver(const Options& options) : options_(options) {}
 
-  [[nodiscard]] SolverPath fit_path(const Matrix& g, std::span<const Real> f,
+  using PathSolver::fit_path;
+  [[nodiscard]] SolverPath fit_path(const ColumnSource& g,
+                                    std::span<const Real> f,
                                     Index max_steps) const override;
 
   [[nodiscard]] const char* name() const override { return "Stagewise"; }

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <vector>
 
-#include "linalg/blas.hpp"
 #include "linalg/vector_ops.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
@@ -11,17 +10,19 @@
 
 namespace rsm {
 
-SolverPath StarSolver::fit_path(const Matrix& g, std::span<const Real> f,
+SolverPath StarSolver::fit_path(const ColumnSource& g,
+                                std::span<const Real> f,
                                 Index max_steps) const {
   RSM_TRACE_SPAN("star.fit");
   const Index num_samples = g.rows();
-  const Index num_columns = g.cols();
+  const Index num_columns = g.num_columns();
   RSM_CHECK(static_cast<Index>(f.size()) == num_samples);
   RSM_CHECK(max_steps > 0);
 
   SolverPath path;
   std::vector<Real> residual(f.begin(), f.end());
   std::vector<Real> correlations(static_cast<std::size_t>(num_columns));
+  std::vector<Real> column(static_cast<std::size_t>(num_samples));
 
   // Running per-column coefficient accumulator (duplicated selections add).
   std::vector<Real> step_coefficients;  // aligned with selection_order
@@ -31,7 +32,7 @@ SolverPath StarSolver::fit_path(const Matrix& g, std::span<const Real> f,
     check_cooperative_stop("star.iteration");
     {
       RSM_TRACE_SPAN("star.scan");
-      gemv_transposed(g, residual, correlations);
+      g.correlate(residual, correlations);
     }
     const Index best = argmax_abs(correlations);
     if (best < 0) break;
@@ -40,7 +41,7 @@ SolverPath StarSolver::fit_path(const Matrix& g, std::span<const Real> f,
     // of the residual on the column, normalized by the column's squared
     // norm. With orthonormal basis functions ||G_m||^2 ~= K, so this matches
     // the paper's 1/K scaling while staying exact for finite samples.
-    const std::vector<Real> column = g.col(best);
+    g.column(best, column);
     const Real denom = dot(column, column);
     if (denom <= Real{0}) break;
     const Real alpha = correlations[static_cast<std::size_t>(best)] / denom;

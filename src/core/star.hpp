@@ -15,7 +15,9 @@ namespace rsm {
 
 class StarSolver final : public PathSolver {
  public:
-  [[nodiscard]] SolverPath fit_path(const Matrix& g, std::span<const Real> f,
+  using PathSolver::fit_path;
+  [[nodiscard]] SolverPath fit_path(const ColumnSource& g,
+                                    std::span<const Real> f,
                                     Index max_steps) const override;
 
   [[nodiscard]] const char* name() const override { return "STAR"; }

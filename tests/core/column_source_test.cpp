@@ -1,8 +1,12 @@
 #include "core/column_source.hpp"
 
+#include <cmath>
+
 #include <gtest/gtest.h>
 
+#include "core/lar.hpp"
 #include "core/omp.hpp"
+#include "core/star.hpp"
 #include "linalg/vector_ops.hpp"
 #include "stats/lhs.hpp"
 #include "stats/rng.hpp"
@@ -82,6 +86,58 @@ TEST(ColumnSource, StreamingOmpMatchesMaterializedOmp) {
     for (std::size_t s = 0; s < cd.size(); ++s)
       EXPECT_NEAR(cd[s], cl[s], 1e-9);
   }
+}
+
+// Every solver fits through a ColumnSource, so STAR and LAR run on a lazy
+// dictionary too. The lazy scan rounds differently from the matrix scan;
+// the path must still pick the same columns with the same coefficients.
+TEST(ColumnSource, StreamingStarAndLarMatchMaterialized) {
+  Rng rng(905);
+  const Index n = 10, k = 80;
+  auto dict = std::make_shared<BasisDictionary>(BasisDictionary::quadratic(n));
+  const Matrix samples = monte_carlo_normal(k, n, rng);
+  const Matrix g = dict->design_matrix(samples);
+  std::vector<Real> f = rng.normal_vector(k);
+  for (Index r = 0; r < k; ++r)
+    f[static_cast<std::size_t>(r)] = 0.1 * f[static_cast<std::size_t>(r)] +
+                                     2.0 * g(r, 3) - 1.5 * g(r, 17) +
+                                     0.7 * g(r, 40);
+
+  const StarSolver star;
+  const LarSolver lar;
+  for (const PathSolver* solver :
+       std::initializer_list<const PathSolver*>{&star, &lar}) {
+    const SolverPath dense = solver->fit_path(MaterializedSource(g), f, 12);
+    const SolverPath lazy =
+        solver->fit_path(DictionarySource(dict, samples), f, 12);
+    ASSERT_GT(dense.num_steps(), 3) << solver->name();
+    EXPECT_EQ(dense.selection_order, lazy.selection_order) << solver->name();
+    EXPECT_EQ(dense.active_sets, lazy.active_sets) << solver->name();
+    ASSERT_EQ(dense.num_steps(), lazy.num_steps()) << solver->name();
+    for (Index t = 0; t < dense.num_steps(); ++t) {
+      const auto& cd = dense.coefficients[static_cast<std::size_t>(t)];
+      const auto& cl = lazy.coefficients[static_cast<std::size_t>(t)];
+      ASSERT_EQ(cd.size(), cl.size());
+      for (std::size_t s = 0; s < cd.size(); ++s)
+        EXPECT_LE(std::abs(cd[s] - cl[s]), 1e-12 * std::abs(cd[s]))
+            << solver->name() << " step " << t << " term " << s;
+    }
+  }
+}
+
+TEST(ColumnSource, RowViewMatchesCopiedRows) {
+  Rng rng(906);
+  const Matrix g = monte_carlo_normal(20, 9, rng);
+  const std::vector<Index> rows{17, 2, 9, 9, 0};
+  const MaterializedSource view(g, rows);
+  EXPECT_EQ(view.rows(), 5);
+  EXPECT_EQ(view.num_columns(), 9);
+  std::vector<Real> col(5);
+  view.column(4, col);
+  for (std::size_t i = 0; i < rows.size(); ++i)
+    EXPECT_EQ(col[i], g(rows[i], 4));
+  const std::vector<Index> outside{3, 20};
+  EXPECT_THROW(MaterializedSource(g, outside), Error);
 }
 
 TEST(ColumnSource, HugeDictionaryWithoutMaterialization) {

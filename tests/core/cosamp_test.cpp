@@ -34,7 +34,8 @@ TEST(Cosamp, ExactRecoveryAtTrueSparsity) {
     alpha[static_cast<std::size_t>(s)] = rng.uniform() < 0.5 ? -1.0 : 1.0;
   const std::vector<Real> f = synthesize(g, alpha);
 
-  const SolverPath path = CosampSolver().fit_at_sparsity(g, f, p);
+  const SolverPath path =
+      CosampSolver().fit_at_sparsity(MaterializedSource(g), f, p);
   ASSERT_EQ(path.num_steps(), 1);
   const std::vector<Index> found = path.support(0);
   const std::set<Index> found_set(found.begin(), found.end());
@@ -67,7 +68,8 @@ TEST(Cosamp, SupportSizeMatchesRequestedSparsity) {
   const Matrix g = monte_carlo_normal(60, 100, rng);
   const std::vector<Real> f = rng.normal_vector(60);
   for (Index s : {1L, 3L, 8L}) {
-    const SolverPath path = CosampSolver().fit_at_sparsity(g, f, s);
+    const SolverPath path =
+        CosampSolver().fit_at_sparsity(MaterializedSource(g), f, s);
     EXPECT_EQ(static_cast<Index>(path.support(0).size()), s);
   }
 }
@@ -95,7 +97,8 @@ TEST(Cosamp, CanUndoAWrongEarlyPick) {
                                 omp.selection_order.end());
   EXPECT_TRUE(omp_sup.count(0));  // ...and cannot remove it at s=2
 
-  const SolverPath cosamp = CosampSolver().fit_at_sparsity(g, f_clean, 2);
+  const SolverPath cosamp =
+      CosampSolver().fit_at_sparsity(MaterializedSource(g), f_clean, 2);
   const std::vector<Index> sup = cosamp.support(0);
   EXPECT_EQ(sup, (std::vector<Index>{10, 20}));
   EXPECT_LT(cosamp.residual_norms[0], 1e-8);
@@ -112,7 +115,8 @@ TEST(Cosamp, MatchesOmpOnEasyProblems) {
     alpha[static_cast<std::size_t>(rng.uniform_index(m))] = 2.0;
   const std::vector<Real> f = synthesize(g, alpha);
   const SolverPath omp = OmpSolver().fit_path(g, f, p);
-  const SolverPath cosamp = CosampSolver().fit_at_sparsity(g, f, p);
+  const SolverPath cosamp =
+      CosampSolver().fit_at_sparsity(MaterializedSource(g), f, p);
   const std::set<Index> omp_sup(omp.selection_order.begin(),
                                 omp.selection_order.end());
   const std::vector<Index> cos_support = cosamp.support(0);
@@ -124,7 +128,8 @@ TEST(Cosamp, SparsityCappedByHalfSamples) {
   Rng rng(116);
   const Matrix g = monte_carlo_normal(20, 50, rng);
   const std::vector<Real> f = rng.normal_vector(20);
-  const SolverPath path = CosampSolver().fit_at_sparsity(g, f, 40);
+  const SolverPath path =
+      CosampSolver().fit_at_sparsity(MaterializedSource(g), f, 40);
   EXPECT_LE(path.support(0).size(), 10u);  // k/2
 }
 
@@ -132,7 +137,8 @@ TEST(Cosamp, ZeroTargetGracefullyEmpty) {
   Rng rng(117);
   const Matrix g = monte_carlo_normal(30, 20, rng);
   const std::vector<Real> f(30, 0.0);
-  const SolverPath path = CosampSolver().fit_at_sparsity(g, f, 3);
+  const SolverPath path =
+      CosampSolver().fit_at_sparsity(MaterializedSource(g), f, 3);
   EXPECT_LT(path.residual_norms[0], 1e-12);
 }
 

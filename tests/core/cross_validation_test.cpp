@@ -1,9 +1,15 @@
 #include "core/cross_validation.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <numeric>
 
 #include <gtest/gtest.h>
 
+#include "core/lar.hpp"
+#include "core/metrics.hpp"
 #include "core/omp.hpp"
 #include "core/star.hpp"
 #include "linalg/vector_ops.hpp"
@@ -140,7 +146,9 @@ class FlakySolver : public PathSolver {
  public:
   explicit FlakySolver(int fail_first_n) : fail_first_n_(fail_first_n) {}
 
-  [[nodiscard]] SolverPath fit_path(const Matrix& g, std::span<const Real> f,
+  using PathSolver::fit_path;
+  [[nodiscard]] SolverPath fit_path(const ColumnSource& g,
+                                    std::span<const Real> f,
                                     Index max_steps) const override {
     if (calls_++ < fail_first_n_)
       throw SingularMatrixError("degenerate fold (injected)");
@@ -175,6 +183,135 @@ TEST(CrossValidation, AllFoldsDegenerateThrows) {
   const SparseProblem prob = make_problem(80, 120, 4, 0.1, 512);
   const FlakySolver solver(4);  // every fold throws
   EXPECT_THROW((void)CrossValidator().run(solver, prob.g, prob.f, 20), Error);
+}
+
+/// Cross-validation as it ran when every fold copied its rows of G: the
+/// training rows and the held-out rows become fresh matrices, the solver
+/// fits the training copy, and each step is scored on the held-out copy.
+CrossValidationResult copied_fold_cv(const PathSolver& solver, const Matrix& g,
+                                     std::span<const Real> f,
+                                     Index max_lambda, int q,
+                                     std::uint64_t seed) {
+  const Index k = g.rows();
+  std::vector<Index> perm(static_cast<std::size_t>(k));
+  std::iota(perm.begin(), perm.end(), Index{0});
+  Rng rng(seed);
+  rng.shuffle(perm);
+  const auto copy_rows = [&](const std::vector<Index>& rows, Matrix& out,
+                             std::vector<Real>& values) {
+    out = Matrix(static_cast<Index>(rows.size()), g.cols());
+    values.resize(rows.size());
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      std::copy(g.row(rows[r]).begin(), g.row(rows[r]).end(),
+                out.row(static_cast<Index>(r)).begin());
+      values[r] = f[static_cast<std::size_t>(rows[r])];
+    }
+  };
+
+  CrossValidationResult result;
+  result.fold_curves.resize(static_cast<std::size_t>(q));
+  for (int fold = 0; fold < q; ++fold) {
+    std::vector<Index> train_rows, test_rows;
+    for (Index i = 0; i < k; ++i)
+      (static_cast<int>(i % q) == fold ? test_rows : train_rows)
+          .push_back(perm[static_cast<std::size_t>(i)]);
+    Matrix g_train, g_test;
+    std::vector<Real> f_train, f_test;
+    copy_rows(train_rows, g_train, f_train);
+    copy_rows(test_rows, g_test, f_test);
+    SolverPath path;
+    try {
+      path = solver.fit_path(g_train, f_train, max_lambda);
+    } catch (const Error&) {
+      ++result.skipped_folds;
+      continue;
+    }
+    std::vector<Real> pred(test_rows.size());
+    for (Index t = 0; t < path.num_steps(); ++t) {
+      const std::vector<Index> sup = path.support(t);
+      const std::vector<Real>& coef =
+          path.coefficients[static_cast<std::size_t>(t)];
+      std::fill(pred.begin(), pred.end(), Real{0});
+      for (std::size_t s = 0; s < sup.size(); ++s)
+        for (std::size_t r = 0; r < test_rows.size(); ++r)
+          pred[r] += coef[s] * g_test(static_cast<Index>(r), sup[s]);
+      result.fold_curves[static_cast<std::size_t>(fold)].push_back(
+          relative_rms_error(pred, f_test));
+    }
+  }
+  std::size_t common = std::numeric_limits<std::size_t>::max();
+  for (const auto& curve : result.fold_curves)
+    if (!curve.empty()) common = std::min(common, curve.size());
+  result.error_curve.assign(common, Real{0});
+  for (const auto& curve : result.fold_curves)
+    for (std::size_t t = 0; t < common && !curve.empty(); ++t)
+      result.error_curve[t] += curve[t];
+  for (Real& e : result.error_curve)
+    e /= static_cast<Real>(q - result.skipped_folds);
+  const auto best = std::min_element(result.error_curve.begin(),
+                                     result.error_curve.end());
+  result.best_lambda =
+      static_cast<Index>(best - result.error_curve.begin()) + 1;
+  result.best_error = *best;
+  return result;
+}
+
+/// Exact bit equality (EXPECT_EQ on doubles would also pass -0 == +0).
+bool same_bits(const std::vector<Real>& a, const std::vector<Real>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(Real)) == 0);
+}
+
+void expect_same_cv(const CrossValidationResult& got,
+                    const CrossValidationResult& want, const char* what) {
+  ASSERT_EQ(got.fold_curves.size(), want.fold_curves.size()) << what;
+  for (std::size_t q = 0; q < got.fold_curves.size(); ++q)
+    EXPECT_TRUE(same_bits(got.fold_curves[q], want.fold_curves[q]))
+        << what << ": fold " << q;
+  EXPECT_TRUE(same_bits(got.error_curve, want.error_curve)) << what;
+  EXPECT_EQ(got.best_lambda, want.best_lambda) << what;
+  EXPECT_TRUE(same_bits({got.best_error}, {want.best_error})) << what;
+  EXPECT_EQ(got.skipped_folds, want.skipped_folds) << what;
+}
+
+// Folds are row views of G, not copies. Every solver must see exactly the
+// rows, in exactly the order, that the copies held: curves, lambda and
+// error equal the copied-fold reference bit for bit. 300 training rows x
+// 1000 columns is above the scan's parallel threshold.
+TEST(CrossValidation, FoldViewsMatchCopiedFoldsBitForBit) {
+  const SparseProblem prob = make_problem(400, 1000, 6, 0.05, 513);
+  LarSolver::Options lasso_options;
+  lasso_options.lasso = true;
+  const OmpSolver omp;
+  const StarSolver star;
+  const LarSolver lar;
+  const LarSolver lasso(lasso_options);
+  CrossValidator::Options opt;
+  opt.seed = 29;
+  for (const PathSolver* solver :
+       std::initializer_list<const PathSolver*>{&omp, &star, &lar, &lasso}) {
+    const CrossValidationResult view =
+        CrossValidator(opt).run(*solver, prob.g, prob.f, 30);
+    ASSERT_EQ(view.skipped_folds, 0) << solver->name();
+    expect_same_cv(view,
+                   copied_fold_cv(*solver, prob.g, prob.f, 30, opt.num_folds,
+                                  opt.seed),
+                   solver->name());
+  }
+}
+
+TEST(CrossValidation, FoldViewsMatchCopiedFoldsWithADegenerateFold) {
+  const SparseProblem prob = make_problem(120, 200, 4, 0.1, 514);
+  const CrossValidationResult view =
+      CrossValidator().run(FlakySolver(1), prob.g, prob.f, 20);
+  ASSERT_EQ(view.skipped_folds, 1);
+  expect_same_cv(
+      view,
+      copied_fold_cv(FlakySolver(1), prob.g, prob.f, 20,
+                     CrossValidator::Options{}.num_folds,
+                     CrossValidator::Options{}.seed),
+      "flaky OMP");
 }
 
 class CvFoldSweep : public ::testing::TestWithParam<int> {};

@@ -27,7 +27,8 @@ TEST(LassoCd, LargePenaltyZeroesEverything) {
   Rng rng(601);
   const Matrix g = monte_carlo_normal(40, 20, rng);
   const std::vector<Real> f = rng.normal_vector(40);
-  const std::vector<Real> beta = LassoCdSolver().fit_at(g, f, 1e6);
+  const std::vector<Real> beta =
+      LassoCdSolver().fit_at(MaterializedSource(g), f, 1e6);
   for (Real b : beta) EXPECT_EQ(b, 0.0);
 }
 
@@ -37,7 +38,8 @@ TEST(LassoCd, ZeroPenaltyReachesLeastSquaresFit) {
   Rng rng(602);
   const Matrix g = monte_carlo_normal(60, 10, rng);
   const std::vector<Real> f = rng.normal_vector(60);
-  const std::vector<Real> beta = LassoCdSolver().fit_at(g, f, 0.0);
+  const std::vector<Real> beta =
+      LassoCdSolver().fit_at(MaterializedSource(g), f, 0.0);
   std::vector<Real> residual = f;
   for (Index j = 0; j < 10; ++j)
     axpy(-beta[static_cast<std::size_t>(j)], g.col(j), residual);
@@ -54,7 +56,8 @@ TEST(LassoCd, KktConditionsHoldAtSolution) {
   const Matrix g = monte_carlo_normal(k, m, rng);
   const std::vector<Real> f = rng.normal_vector(k);
   const Real mu = 0.1;
-  const std::vector<Real> beta = LassoCdSolver().fit_at(g, f, mu);
+  const std::vector<Real> beta =
+      LassoCdSolver().fit_at(MaterializedSource(g), f, mu);
   std::vector<Real> residual = f;
   for (Index j = 0; j < m; ++j)
     axpy(-beta[static_cast<std::size_t>(j)], g.col(j), residual);
@@ -131,7 +134,7 @@ TEST(LassoCd, AgreesWithLassoLarAtMatchedL1Norm) {
   Real best_gap = 1e9;
   std::vector<Real> best;
   for (Real mu = 1.0; mu > 1e-4; mu *= 0.97) {
-    const std::vector<Real> beta = cd.fit_at(g, f, mu);
+    const std::vector<Real> beta = cd.fit_at(MaterializedSource(g), f, mu);
     Real norm = 0;
     for (Real b : beta) norm += std::abs(b);
     if (std::abs(norm - l1) < best_gap) {

@@ -44,7 +44,8 @@ TEST_P(SolverAgreementSweep, GreedyFamilyAgreesOnWellSeparatedTruth) {
                                 omp.selection_order.end());
   EXPECT_EQ(omp_sup, support) << "OMP";
 
-  const SolverPath cosamp = CosampSolver().fit_at_sparsity(g, f, p);
+  const SolverPath cosamp =
+      CosampSolver().fit_at_sparsity(MaterializedSource(g), f, p);
   const std::vector<Index> cs = cosamp.support(0);
   EXPECT_EQ(std::set<Index>(cs.begin(), cs.end()), support) << "CoSaMP";
 
@@ -71,7 +72,7 @@ TEST_P(SolverAgreementSweep, LarAndCdAgreeAtMatchedL1Norm) {
   Real best_gap = 1e300;
   std::vector<Real> best;
   for (Real mu = 2.0; mu > 1e-4; mu *= 0.96) {
-    const std::vector<Real> beta = cd.fit_at(g, f, mu);
+    const std::vector<Real> beta = cd.fit_at(MaterializedSource(g), f, mu);
     Real norm = 0;
     for (Real b : beta) norm += std::abs(b);
     if (std::abs(norm - l1) < best_gap) {
@@ -103,8 +104,8 @@ TEST_P(QuadratureExactness, IntegratesHighestExactMonomial) {
   for (int i = power - 1; i >= 1; i -= 2) expected *= i;
   const Real got = normal_expectation(
       [power](Real x) { return std::pow(x, power); }, n);
-  EXPECT_NEAR(got / std::max(expected, Real{1}), expected / std::max(expected, Real{1}),
-              1e-8)
+  EXPECT_NEAR(got / std::max(expected, Real{1}),
+              expected / std::max(expected, Real{1}), 1e-8)
       << "n=" << n;
 }
 

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <cstring>
+#include <numeric>
 
 #include "stats/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace rsm {
 namespace {
@@ -132,8 +135,85 @@ TEST(Blas, GemvTransposedColumnsWritesOnlyItsRange) {
   EXPECT_THROW(gemv_transposed_columns(a, x, y, 0, 41), Error);
 }
 
+// Differential sweep for the row-list scan that cross-validation folds run
+// on: random row subsets and permutations of A, with K not a multiple of
+// the 4-row block and M not a multiple of the column tile. The scan must
+// equal, bit for bit, a scalar loop over the listed rows and the full scan
+// of a matrix holding copies of those rows, at every column split.
+// parallel_width() is fixed per process, so tests/CMakeLists.txt also runs
+// this suite at RSM_THREADS=1 and RSM_THREADS=4.
+class GemvTransposedRows : public ::testing::TestWithParam<int> {};
+
+TEST_P(GemvTransposedRows, BitIdenticalToGatheredCopy) {
+  const Index m = GetParam();
+  if (const char* threads = std::getenv("RSM_THREADS")) {
+    ASSERT_EQ(parallel_width(), std::atoi(threads));
+  }
+  constexpr Index kRows = 403;
+  Rng rng(static_cast<std::uint64_t>(4099 + m));
+  const Matrix a = random_matrix(kRows, m, rng);
+
+  std::vector<Index> permutation(static_cast<std::size_t>(kRows));
+  std::iota(permutation.begin(), permutation.end(), Index{0});
+  rng.shuffle(permutation);
+  std::vector<std::vector<Index>> lists;
+  lists.push_back(permutation);
+  lists.emplace_back(permutation.begin(), permutation.begin() + 301);
+  lists.emplace_back(permutation.begin() + 7, permutation.begin() + 10);
+  std::vector<Index> sorted_subset(permutation.begin(),
+                                   permutation.begin() + 198);
+  std::sort(sorted_subset.begin(), sorted_subset.end());
+  lists.push_back(sorted_subset);
+
+  for (const std::vector<Index>& rows : lists) {
+    const Index k = static_cast<Index>(rows.size());
+    ASSERT_NE(k % 4, 0);
+    Matrix copy(k, m);
+    for (Index i = 0; i < k; ++i)
+      for (Index j = 0; j < m; ++j)
+        copy(i, j) = a(rows[static_cast<std::size_t>(i)], j);
+    std::vector<Real> x = rng.normal_vector(k);
+    for (std::size_t i = 0; i < x.size(); i += 5) x[i] = 0;
+
+    std::vector<Real> scalar(static_cast<std::size_t>(m), Real{0});
+    for (Index i = 0; i < k; ++i)
+      for (Index j = 0; j < m; ++j)
+        scalar[static_cast<std::size_t>(j)] +=
+            x[static_cast<std::size_t>(i)] *
+            a(rows[static_cast<std::size_t>(i)], j);
+    std::vector<Real> gathered(static_cast<std::size_t>(m), Real{-1});
+    gemv_transposed(copy, x, gathered);
+    expect_same_bits(gathered, scalar, "gathered copy");
+
+    std::vector<Real> view(static_cast<std::size_t>(m), Real{-1});
+    gemv_transposed(a, x, view, rows);
+    expect_same_bits(view, scalar, "row list");
+
+    for (int parts = 1; parts <= 8; ++parts) {
+      std::vector<Real> split(static_cast<std::size_t>(m), Real{-1});
+      for (int p = 0; p < parts; ++p)
+        gemv_transposed_columns(a, x, split, m * p / parts, m * (p + 1) / parts,
+                                rows);
+      expect_same_bits(split, scalar, "row list, column split");
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Columns, GemvTransposedRows,
+                         ::testing::Values(63, 1025, 2051));
+
+TEST(Blas, GemvTransposedRowListChecksLengths) {
+  Rng rng(7);
+  const Matrix a = random_matrix(9, 12, rng);
+  const std::vector<Index> rows{8, 0, 3};
+  std::vector<Real> y(12);
+  EXPECT_THROW(gemv_transposed(a, rng.normal_vector(9), y, rows), Error);
+  EXPECT_NO_THROW(gemv_transposed(a, rng.normal_vector(3), y, rows));
+}
+
 // Parameterized sweep over shapes, including block-boundary sizes.
-class GemmShapes : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
+class GemmShapes
+    : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
 
 TEST_P(GemmShapes, MatchesNaive) {
   const auto [m, k, n] = GetParam();
