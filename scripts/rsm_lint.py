@@ -53,6 +53,12 @@ linter enforces them mechanically (stdlib only, no libclang):
                         every lock carries Clang Thread Safety
                         annotations and a deadlock-detection rank
                         (util/sync.hpp; ranks in docs/static-analysis.md).
+  orphan-module         every src/ module (a header and its .cpp) is
+                        reached by the #include closure of bench/,
+                        examples/ and perfbench/src/; modules reached only
+                        from tests or the src/rsm.hpp umbrella are dead
+                        code (give them a use or delete them; test oracles
+                        live in tests/support/).
 
 Usage:
   rsm_lint.py                          # lint the whole tree, exit 0/1
@@ -522,6 +528,48 @@ def rule_error_code_coverage(files, root):
     return findings
 
 
+# The programs that run: benches, examples (the model server among them)
+# and the perfbench harness. Tests are not roots, and neither is the
+# umbrella header, which includes every module by construction.
+ORPHAN_ROOT_DIRS = ("bench", "examples", "perfbench/src")
+UMBRELLA_HEADER = "rsm.hpp"
+QUOTED_INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"([^"]+)"', re.MULTILINE)
+
+
+def rule_orphan_module(_files, root):
+    src = (root / "src").resolve()
+    if not src.is_dir():
+        return []
+    umbrella = src / UMBRELLA_HEADER
+    modules = {h.resolve() for h in src.rglob("*.hpp")} - {umbrella}
+
+    pending = [p.resolve() for d in ORPHAN_ROOT_DIRS if (root / d).is_dir()
+               for p in (root / d).rglob("*") if p.suffix in CXX_SUFFIXES]
+    visited = set()
+    while pending:
+        path = pending.pop()
+        if path in visited or path == umbrella:
+            continue
+        visited.add(path)
+        text = path.read_text(encoding="utf-8", errors="replace")
+        for name in QUOTED_INCLUDE_RE.findall(text):
+            for base in (path.parent, src):
+                target = (base / name).resolve()
+                if target.is_file():
+                    pending.append(target)
+                    # Reaching a module's header links its .cpp, whose
+                    # includes are reached too.
+                    source = target.with_suffix(".cpp")
+                    if target in modules and source.is_file():
+                        pending.append(source)
+                    break
+    return [Finding("orphan-module", h.relative_to(root.resolve()).as_posix(),
+                    0, "no bench, example or perfbench workload reaches this "
+                       "module through #include; give it a use or delete it "
+                       "(test-only oracles belong in tests/support/)")
+            for h in sorted(modules - visited)]
+
+
 RULES = {
     "error-code-coverage": rule_error_code_coverage,
     "macro-side-effects": rule_macro_side_effects,
@@ -534,6 +582,7 @@ RULES = {
     "metric-name-literal": rule_metric_name_literal,
     "no-raw-thread": rule_no_raw_thread,
     "no-naked-mutex": rule_no_naked_mutex,
+    "orphan-module": rule_orphan_module,
 }
 
 

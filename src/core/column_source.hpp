@@ -3,8 +3,8 @@
 //
 // A ColumnSource abstracts "the K x M matrix G" behind two operations —
 // correlate a residual against every column, and fetch one column — and
-// every PathSolver (OMP, STAR, LAR, CoSaMP, stagewise, LASSO-CD) fits
-// through them alone. Three sources exist:
+// every PathSolver (OMP, STAR, LAR) fits through them alone. Three sources
+// exist:
 //  - MaterializedSource: an explicit matrix (the fast path the benches use);
 //  - MaterializedSource with a row list: a view of some rows of a matrix,
 //    which is how cross-validation hands each fold its training rows

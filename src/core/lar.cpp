@@ -15,8 +15,7 @@ namespace rsm {
 namespace {
 
 /// Incrementally grown Cholesky of the Gram matrix of a set of unit-norm
-/// columns. Supports append (O(p^2)) and remove (rebuild, O(p^3), rare —
-/// only on LASSO drops).
+/// columns (O(p^2) per appended column).
 class ActiveGramCholesky {
  public:
   explicit ActiveGramCholesky(Index max_size) : l_(max_size, max_size) {}
@@ -45,19 +44,6 @@ class ActiveGramCholesky {
     return true;
   }
 
-  /// Rebuilds from an explicit Gram matrix after a drop.
-  void rebuild(const Matrix& gram) {
-    RSM_CHECK(gram.rows() == gram.cols());
-    p_ = 0;
-    for (Index j = 0; j < gram.rows(); ++j) {
-      std::vector<Real> cross(static_cast<std::size_t>(p_));
-      for (Index i = 0; i < p_; ++i)
-        cross[static_cast<std::size_t>(i)] = gram(j, i);
-      RSM_CHECK_MSG(append(cross, gram(j, j)),
-                    "active set became singular after LASSO drop");
-    }
-  }
-
   /// Solves (X_A' X_A) v = rhs.
   [[nodiscard]] std::vector<Real> solve(std::span<const Real> rhs) const {
     RSM_CHECK(static_cast<Index>(rhs.size()) == p_);
@@ -81,6 +67,10 @@ class ActiveGramCholesky {
   Index p_ = 0;
   Matrix l_;
 };
+
+/// Stop when the largest absolute correlation falls below this times its
+/// initial value.
+constexpr Real kCorrelationTolerance = 1e-12;
 
 }  // namespace
 
@@ -124,7 +114,6 @@ SolverPath LarSolver::fit_path(const ColumnSource& g,
   }
 
   SolverPath path;
-  path.active_sets = {};  // filled per step (drops break prefix structure)
 
   std::vector<Real> mu(static_cast<std::size_t>(num_samples), Real{0});
   std::vector<Real> residual(f.begin(), f.end());
@@ -145,12 +134,12 @@ SolverPath LarSolver::fit_path(const ColumnSource& g,
   // c = X' residual is current until the residual moves: event 0 and any
   // event after a collinear skip reuse it instead of rescanning.
   bool c_current = true;
-  bool just_dropped = false;
-  // Each loop iteration performs one LAR event (add or drop) plus a move.
+  // Each loop iteration admits one column and moves along the equiangular
+  // direction, or skips a collinear candidate.
   for (Index event = 0; event < 4 * max_steps + 8; ++event) {
     RSM_TRACE_SPAN("lar.step");
     check_cooperative_stop("lar.step");
-    if (static_cast<Index>(active.size()) >= max_steps && !just_dropped) break;
+    if (static_cast<Index>(active.size()) >= max_steps) break;
 
     if (!c_current) {
       RSM_TRACE_SPAN("lar.scan");
@@ -158,38 +147,35 @@ SolverPath LarSolver::fit_path(const ColumnSource& g,
       c_current = true;
     }
 
-    if (!just_dropped) {
-      // Admit the most correlated inactive column.
-      Index best = -1;
-      Real best_val = options_.correlation_tolerance * c0;
-      for (Index j = 0; j < num_columns; ++j) {
-        if (in_active[static_cast<std::size_t>(j)] ||
-            !usable[static_cast<std::size_t>(j)])
-          continue;
-        const Real v = std::abs(c[static_cast<std::size_t>(j)]);
-        if (v > best_val) {
-          best_val = v;
-          best = j;
-        }
-      }
-      if (best < 0) break;  // correlations exhausted
-
-      // Cross products with current active columns.
-      std::vector<Real> cross(active.size());
-      const std::vector<Real> new_col = x.col(best);
-      for (std::size_t i = 0; i < active.size(); ++i)
-        cross[i] = dot(x.col(active[i]), new_col);
-      if (!chol.append(cross, Real{1})) {
-        usable[static_cast<std::size_t>(best)] = false;  // collinear; skip
+    // Admit the most correlated inactive column.
+    Index best = -1;
+    Real best_val = kCorrelationTolerance * c0;
+    for (Index j = 0; j < num_columns; ++j) {
+      if (in_active[static_cast<std::size_t>(j)] ||
+          !usable[static_cast<std::size_t>(j)])
         continue;
+      const Real v = std::abs(c[static_cast<std::size_t>(j)]);
+      if (v > best_val) {
+        best_val = v;
+        best = j;
       }
-      active.push_back(best);
-      in_active[static_cast<std::size_t>(best)] = true;
-      signs.push_back(c[static_cast<std::size_t>(best)] >= 0 ? Real{1}
-                                                             : Real{-1});
-      beta.push_back(0);
     }
-    just_dropped = false;
+    if (best < 0) break;  // correlations exhausted
+
+    // Cross products with current active columns.
+    std::vector<Real> cross(active.size());
+    const std::vector<Real> new_col = x.col(best);
+    for (std::size_t i = 0; i < active.size(); ++i)
+      cross[i] = dot(x.col(active[i]), new_col);
+    if (!chol.append(cross, Real{1})) {
+      usable[static_cast<std::size_t>(best)] = false;  // collinear; skip
+      continue;
+    }
+    active.push_back(best);
+    in_active[static_cast<std::size_t>(best)] = true;
+    signs.push_back(c[static_cast<std::size_t>(best)] >= 0 ? Real{1}
+                                                           : Real{-1});
+    beta.push_back(0);
 
     // Equiangular direction: v = Gram^{-1} s;  A = 1/sqrt(s'v);  the move in
     // coefficient space is d = A v, in sample space u = X_A d.
@@ -213,7 +199,7 @@ SolverPath LarSolver::fit_path(const ColumnSource& g,
     Real cmax = 0;
     for (Index j : active)
       cmax = std::max(cmax, std::abs(c[static_cast<std::size_t>(j)]));
-    if (cmax <= options_.correlation_tolerance * c0) break;
+    if (cmax <= kCorrelationTolerance * c0) break;
 
     // Step length to the next tie (Efron et al., eq. 2.13).
     Real gamma = cmax / a_norm;  // full LS step if nothing ties
@@ -235,51 +221,18 @@ SolverPath LarSolver::fit_path(const ColumnSource& g,
       }
     }
 
-    // LASSO modification: clip at the first zero crossing of an active
-    // coefficient and drop that variable.
-    Index drop = -1;
-    if (options_.lasso) {
-      for (std::size_t i = 0; i < active.size(); ++i) {
-        if (d[i] == Real{0}) continue;
-        const Real t = -beta[i] / d[i];
-        if (t > Real{1e-14} && t < gamma) {
-          gamma = t;
-          drop = static_cast<Index>(i);
-        }
-      }
-    }
-
     for (std::size_t i = 0; i < active.size(); ++i) beta[i] += gamma * d[i];
     axpy(gamma, u, mu);
     residual = vsub(f, mu);
     c_current = false;
 
-    if (drop >= 0) {
-      const Index col = active[static_cast<std::size_t>(drop)];
-      in_active[static_cast<std::size_t>(col)] = false;
-      active.erase(active.begin() + drop);
-      signs.erase(signs.begin() + drop);
-      beta.erase(beta.begin() + drop);
-      // Rebuild the active Cholesky from the reduced Gram matrix.
-      Matrix gram(static_cast<Index>(active.size()),
-                  static_cast<Index>(active.size()));
-      for (std::size_t i = 0; i < active.size(); ++i)
-        for (std::size_t j = i; j < active.size(); ++j) {
-          const Real val = dot(x.col(active[i]), x.col(active[j]));
-          gram(static_cast<Index>(i), static_cast<Index>(j)) = val;
-          gram(static_cast<Index>(j), static_cast<Index>(i)) = val;
-        }
-      chol.rebuild(gram);
-      just_dropped = true;
-    }
-
-    // Record the step: active set + de-normalized coefficients.
-    path.active_sets.push_back(active);
+    // Record the step: the column admitted this step + de-normalized
+    // coefficients of the whole active set (its prefix of selection_order).
     std::vector<Real> denorm(active.size());
     for (std::size_t i = 0; i < active.size(); ++i)
       denorm[i] = beta[i] / scale[static_cast<std::size_t>(active[i])];
     path.coefficients.push_back(std::move(denorm));
-    path.selection_order.push_back(active.empty() ? -1 : active.back());
+    path.selection_order.push_back(best);
     path.residual_norms.push_back(nrm2(residual));
 
     if (obs::telemetry_enabled()) {
@@ -292,7 +245,7 @@ SolverPath LarSolver::fit_path(const ColumnSource& g,
           .active_count = static_cast<Index>(active.size())});
     }
 
-    if (gamma >= cmax / a_norm - Real{1e-14} && drop < 0) {
+    if (gamma >= cmax / a_norm - Real{1e-14}) {
       // Took the full least-squares step: correlations are (numerically)
       // zero, the path is complete.
       break;

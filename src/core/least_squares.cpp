@@ -22,7 +22,7 @@ bool all_finite(const std::vector<Real>& v) {
 std::vector<Real> LeastSquaresFitter::fit(const Matrix& g,
                                           std::span<const Real> f) const {
   RSM_CHECK(static_cast<Index>(f.size()) == g.rows());
-  if (options_.ridge == 0 && !options_.use_normal_equations) {
+  if (options_.ridge == 0) {
     RSM_CHECK_MSG(g.rows() >= g.cols(),
                   "least squares is under-determined: K=" << g.rows()
                       << " < M=" << g.cols()

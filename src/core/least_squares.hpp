@@ -2,9 +2,9 @@
 //
 // Solves the over-determined system of eq. (6) — which requires K >= M
 // training samples, the very cost the paper's sparse methods eliminate.
-// Offered in two flavors: Householder QR (numerically robust, O(K M^2)) and
-// normal equations with Cholesky (~2x faster, fine for the well-conditioned
-// random design matrices here). An optional ridge term stabilizes K ~ M.
+// Plain least squares uses Householder QR (numerically robust, O(K M^2));
+// an optional ridge term stabilizes K ~ M and is solved through the normal
+// equations with Cholesky.
 #pragma once
 
 #include <span>
@@ -19,9 +19,6 @@ namespace rsm {
 class LeastSquaresFitter {
  public:
   struct Options {
-    /// Use A'A Cholesky instead of QR (faster, slightly less robust).
-    bool use_normal_equations = false;
-
     /// Tikhonov regularization strength (0 = plain least squares).
     Real ridge = 0;
   };

@@ -32,7 +32,6 @@ SolverPath OmpSolver::fit_path(const ColumnSource& g,
   std::vector<Real> correlations(static_cast<std::size_t>(num_columns));
   std::vector<Real> column(static_cast<std::size_t>(num_samples));
   std::vector<bool> selected(static_cast<std::size_t>(num_columns), false);
-  const Real f_norm = std::max(nrm2(f), Real{1e-300});
 
   for (Index step = 0; step < max_steps; ++step) {
     RSM_TRACE_SPAN("omp.iteration");
@@ -58,9 +57,10 @@ SolverPath OmpSolver::fit_path(const ColumnSource& g,
     if (best < 0) break;  // everything selected
 
     // Step 5-6: grow the QR with the new column; if it is numerically
-    // dependent on the active set, mark it and try the next candidate.
+    // dependent on the active set (relative remainder <= 1e-10), mark it
+    // and try the next candidate.
     g.column(best, column);
-    if (!qr.append_column(column, options_.dependence_tolerance)) {
+    if (!qr.append_column(column)) {
       selected[static_cast<std::size_t>(best)] = true;
       --step;  // retry this step with the next-best column
       continue;
@@ -102,11 +102,6 @@ SolverPath OmpSolver::fit_path(const ColumnSource& g,
           .max_correlation = best_val,
           .residual_norm = res_norm,
           .active_count = static_cast<Index>(path.selection_order.size())});
-    }
-
-    if (options_.residual_tolerance > 0 &&
-        res_norm <= options_.residual_tolerance * f_norm) {
-      break;
     }
   }
   return path;

@@ -13,28 +13,12 @@ namespace rsm {
 
 class OmpSolver final : public PathSolver {
  public:
-  struct Options {
-    /// Stop when the residual norm falls below this fraction of ||F||_2
-    /// (0 disables early stopping; cross-validation then picks lambda).
-    Real residual_tolerance = 0;
-
-    /// Columns whose orthogonalized remainder is below this (relative)
-    /// threshold are skipped as numerically dependent on the active set.
-    Real dependence_tolerance = 1e-10;
-  };
-
-  OmpSolver() = default;
-  explicit OmpSolver(const Options& options) : options_(options) {}
-
   using PathSolver::fit_path;
   [[nodiscard]] SolverPath fit_path(const ColumnSource& g,
                                     std::span<const Real> f,
                                     Index max_steps) const override;
 
   [[nodiscard]] const char* name() const override { return "OMP"; }
-
- private:
-  Options options_;
 };
 
 }  // namespace rsm

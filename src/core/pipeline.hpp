@@ -54,9 +54,6 @@ struct BuildOptions {
 
   /// Ridge strength for the LS baseline (0 = plain LS).
   Real ridge = 0;
-
-  /// Drop fitted terms with |coefficient| below this in the final model.
-  Real coefficient_threshold = 0;
 };
 
 struct BuildReport {

@@ -4,10 +4,6 @@ namespace rsm {
 
 std::vector<Index> SolverPath::support(Index t) const {
   RSM_CHECK(t >= 0 && t < num_steps());
-  if (!active_sets.empty()) {
-    RSM_CHECK(static_cast<Index>(active_sets.size()) == num_steps());
-    return active_sets[static_cast<std::size_t>(t)];
-  }
   const auto count = coefficients[static_cast<std::size_t>(t)].size();
   RSM_CHECK(count <= selection_order.size());
   return {selection_order.begin(),

@@ -17,22 +17,17 @@ namespace rsm {
 
 /// The sequence of models produced by one solver run.
 ///
-/// Step t (0-based) uses `active[s]` for s <= t with coefficients
-/// `coefficients[t]` (same length as the active prefix). For OMP/STAR the
-/// active sets are nested by construction; for LAR each step is a breakpoint
-/// of the piecewise-linear coefficient path (and with the LASSO modification
-/// a variable can leave, recorded via `active_sets` overriding the prefix).
+/// Step t (0-based) uses the first coefficients[t].size() entries of
+/// `selection_order` as its support. Every solver's supports are nested:
+/// OMP and STAR add one column per step, and for LAR each step is a
+/// breakpoint of the piecewise-linear coefficient path that admits one
+/// column.
 struct SolverPath {
-  /// Column indices in order of first selection (OMP/STAR: the prefix of
-  /// length t+1 is step t's support).
+  /// Column indices in order of selection; step t's support is a prefix.
   std::vector<Index> selection_order;
 
   /// coefficients[t][s] multiplies column support(t)[s].
   std::vector<std::vector<Real>> coefficients;
-
-  /// Non-empty only when supports are not prefixes of selection_order
-  /// (LASSO drops); active_sets[t] then lists step t's support explicitly.
-  std::vector<std::vector<Index>> active_sets;
 
   /// Residual 2-norm after each step (diagnostic).
   std::vector<Real> residual_norms;

@@ -34,7 +34,6 @@ SompResult SompSolver::fit(const Matrix& g, const Matrix& responses,
   IncrementalQr qr(k, max_terms);
   std::vector<bool> selected(static_cast<std::size_t>(m), false);
   SompResult result;
-  Real first_best_score = -1;
 
   for (Index step = 0; step < max_terms; ++step) {
     RSM_TRACE_SPAN("somp.iteration");
@@ -60,13 +59,8 @@ SompResult SompSolver::fit(const Matrix& g, const Matrix& responses,
       }
     }
     if (best < 0) break;
-    if (first_best_score < 0) first_best_score = best_score;
-    if (options_.score_tolerance > 0 &&
-        best_score < options_.score_tolerance * first_best_score) {
-      break;
-    }
 
-    if (!qr.append_column(g.col(best), options_.dependence_tolerance)) {
+    if (!qr.append_column(g.col(best))) {
       selected[static_cast<std::size_t>(best)] = true;
       --step;
       continue;

@@ -32,25 +32,10 @@ struct SompResult {
 
 class SompSolver {
  public:
-  struct Options {
-    /// Joint selection score: sum over responses of the squared normalized
-    /// correlation. Stop early when the best score falls below this times
-    /// the first step's best score (0 = never stop early).
-    Real score_tolerance = 0;
-
-    Real dependence_tolerance = 1e-10;
-  };
-
-  SompSolver() = default;
-  explicit SompSolver(const Options& options) : options_(options) {}
-
   /// Fits all columns of `responses` (K x R) against the shared design
   /// matrix `g` (K x M) with a common support of up to `max_terms` columns.
   [[nodiscard]] SompResult fit(const Matrix& g, const Matrix& responses,
                                Index max_terms) const;
-
- private:
-  Options options_;
 };
 
 }  // namespace rsm

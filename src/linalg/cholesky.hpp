@@ -1,8 +1,8 @@
 // Cholesky factorization of symmetric positive-definite matrices.
 //
-// Used by the LAR solver (Gram matrix of the active set), by the
-// normal-equation fast path of the LS baseline, and by the covariance-model
-// sampler in src/stats.
+// Used by the ridge-regularized (normal-equation) path of the LS baseline.
+// LAR grows its active-set Gram factor incrementally with the same
+// recurrence (core/lar.cpp).
 #pragma once
 
 #include <span>

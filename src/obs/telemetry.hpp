@@ -1,7 +1,7 @@
 // Solver-iteration and campaign-sample telemetry through a pluggable sink.
 //
 // Efron et al. frame LAR as a *path* of per-step correlations and residuals;
-// the OMP/STAR/CoSaMP/SOMP greedy loops have the same per-iteration shape.
+// the OMP/STAR/SOMP greedy loops have the same per-iteration shape.
 // Each solver emits one SolverIterationEvent per step, cross-validation one
 // CvFoldEvent per fold, and the campaign layer one CampaignSampleEvent per
 // sample — all through a process-wide TelemetrySink that defaults to null.
@@ -33,7 +33,7 @@ namespace rsm::obs {
 
 /// One greedy-solver step (OMP Algorithm 1 steps 3–7 and analogues).
 struct SolverIterationEvent {
-  const char* solver = "";    // "OMP", "LAR", "STAR", "CoSaMP", "SOMP"
+  const char* solver = "";    // "OMP", "LAR", "STAR", "SOMP"
   Index step = 0;             // 0-based iteration index within this fit
   Index selected = -1;        // basis column entering the support (-1: none)
   Real max_correlation = 0;   // |G' r| of the winning column (solver's score)

@@ -9,12 +9,9 @@
 #pragma once
 
 // Core: sparse response-surface modeling.
-#include "core/bootstrap.hpp"
 #include "core/column_source.hpp"
-#include "core/cosamp.hpp"
 #include "core/cross_validation.hpp"
 #include "core/lar.hpp"
-#include "core/lasso_cd.hpp"
 #include "core/least_squares.hpp"
 #include "core/metrics.hpp"
 #include "core/model.hpp"
@@ -23,7 +20,6 @@
 #include "core/sobol.hpp"
 #include "core/solver_path.hpp"
 #include "core/somp.hpp"
-#include "core/stagewise.hpp"
 #include "core/star.hpp"
 #include "core/synthetic.hpp"
 #include "core/worst_case.hpp"
@@ -33,20 +29,15 @@
 #include "basis/dictionary.hpp"
 #include "basis/hermite.hpp"
 #include "basis/multi_index.hpp"
-#include "basis/quadrature.hpp"
 
-// Statistics: RNG, sampling, PCA.
-#include "stats/covariance.hpp"
+// Statistics: RNG, sampling, descriptive statistics.
 #include "stats/descriptive.hpp"
 #include "stats/lhs.hpp"
-#include "stats/pca.hpp"
 #include "stats/rng.hpp"
 
 // Circuit simulation substrate and workloads.
-#include "circuits/corners.hpp"
 #include "circuits/opamp.hpp"
 #include "circuits/process.hpp"
-#include "circuits/ring_oscillator.hpp"
 #include "spice/ac.hpp"
 #include "spice/dc.hpp"
 #include "spice/mosfet.hpp"
@@ -58,7 +49,6 @@
 // Linear algebra (exposed for power users extending the solvers).
 #include "linalg/blas.hpp"
 #include "linalg/cholesky.hpp"
-#include "linalg/eigen_sym.hpp"
 #include "linalg/incremental_qr.hpp"
 #include "linalg/lu.hpp"
 #include "linalg/matrix.hpp"

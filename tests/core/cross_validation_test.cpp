@@ -281,16 +281,13 @@ void expect_same_cv(const CrossValidationResult& got,
 // 1000 columns is above the scan's parallel threshold.
 TEST(CrossValidation, FoldViewsMatchCopiedFoldsBitForBit) {
   const SparseProblem prob = make_problem(400, 1000, 6, 0.05, 513);
-  LarSolver::Options lasso_options;
-  lasso_options.lasso = true;
   const OmpSolver omp;
   const StarSolver star;
   const LarSolver lar;
-  const LarSolver lasso(lasso_options);
   CrossValidator::Options opt;
   opt.seed = 29;
   for (const PathSolver* solver :
-       std::initializer_list<const PathSolver*>{&omp, &star, &lar, &lasso}) {
+       std::initializer_list<const PathSolver*>{&omp, &star, &lar}) {
     const CrossValidationResult view =
         CrossValidator(opt).run(*solver, prob.g, prob.f, 30);
     ASSERT_EQ(view.skipped_folds, 0) << solver->name();

@@ -71,7 +71,8 @@ TEST(Lar, EquiangularProperty) {
 
   for (Index t = 0; t < 4; ++t) {
     const std::vector<Index> active = path.support(t);
-    const std::vector<Real>& coef = path.coefficients[static_cast<std::size_t>(t)];
+    const std::vector<Real>& coef =
+        path.coefficients[static_cast<std::size_t>(t)];
     std::vector<Real> residual(f.begin(), f.end());
     for (std::size_t s = 0; s < active.size(); ++s)
       axpy(-coef[s], x.col(active[s]), residual);
@@ -156,48 +157,6 @@ TEST(Lar, CoefficientsShrunkRelativeToLsOnActiveSet) {
     ls_l1 += std::abs(ls[j]);
   }
   EXPECT_LT(lar_l1, ls_l1);
-}
-
-TEST(Lar, LassoModeDropsCrossingCoefficients) {
-  // Construct a case known to trigger a LASSO drop and check active sets
-  // can shrink, while pure LAR's never does. (Statistically, drops occur in
-  // most random instances at sufficient path length.)
-  Rng rng(308);
-  LarSolver::Options opt;
-  opt.lasso = true;
-  const LarSolver lasso(opt);
-  bool saw_drop = false;
-  for (int trial = 0; trial < 20 && !saw_drop; ++trial) {
-    const Matrix g = monte_carlo_normal(40, 80, rng);
-    const std::vector<Real> f = rng.normal_vector(40);
-    const SolverPath path = lasso.fit_path(g, f, 20);
-    for (Index t = 1; t < path.num_steps(); ++t) {
-      if (path.support(t).size() < path.support(t - 1).size()) {
-        saw_drop = true;
-        break;
-      }
-    }
-  }
-  EXPECT_TRUE(saw_drop);
-}
-
-TEST(Lar, LassoCoefficientsKeepSignConsistency) {
-  // LASSO solutions have sign(beta_j) == sign(correlation_j) on the active
-  // set; in particular no coefficient sits at exactly zero within the
-  // active set after a step.
-  Rng rng(309);
-  LarSolver::Options opt;
-  opt.lasso = true;
-  const Matrix g = monte_carlo_normal(50, 100, rng);
-  const std::vector<Real> f = rng.normal_vector(50);
-  const SolverPath path = LarSolver(opt).fit_path(g, f, 15);
-  for (Index t = 0; t < path.num_steps(); ++t) {
-    for (Real c : path.coefficients[static_cast<std::size_t>(t)]) {
-      if (t + 1 < path.num_steps()) {  // last step may legitimately hit zero
-        EXPECT_NE(c, 0.0);
-      }
-    }
-  }
 }
 
 TEST(Lar, HandlesDuplicateColumns) {

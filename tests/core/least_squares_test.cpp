@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "linalg/blas.hpp"
 #include "linalg/vector_ops.hpp"
@@ -22,12 +23,14 @@ TEST(LeastSquares, ExactOnDeterminedSystem) {
 }
 
 TEST(LeastSquares, QrAndNormalEquationsAgree) {
+  // Any ridge > 0 solves the normal equations by Cholesky; one far below
+  // the Gram matrix's scale leaves the plain least-squares solution.
   Rng rng(401);
   const Matrix a = monte_carlo_normal(100, 20, rng);
   const std::vector<Real> b = rng.normal_vector(100);
   const std::vector<Real> x_qr = LeastSquaresFitter().fit(a, b);
   LeastSquaresFitter::Options opt;
-  opt.use_normal_equations = true;
+  opt.ridge = 1e-12;
   const std::vector<Real> x_ne = LeastSquaresFitter(opt).fit(a, b);
   for (Index j = 0; j < 20; ++j)
     EXPECT_NEAR(x_qr[static_cast<std::size_t>(j)],
@@ -67,6 +70,8 @@ TEST(LeastSquares, RankDeficientFallsBackToPivotedQr) {
   // A duplicated column makes both the plain QR back-substitution and the
   // normal-equation Cholesky singular; the fitter must fall back to the
   // rank-revealing path and return a finite minimizer instead of throwing.
+  // The smallest normal ridge takes the Cholesky path yet is lost against
+  // the Gram diagonal, so every escalation step stays singular too.
   Rng rng(406);
   Matrix a(30, 4);
   for (Index r = 0; r < 30; ++r) {
@@ -79,9 +84,9 @@ TEST(LeastSquares, RankDeficientFallsBackToPivotedQr) {
   for (Index r = 0; r < 30; ++r)
     b[static_cast<std::size_t>(r)] = a(r, 0) - 3.0 * a(r, 1);
 
-  for (const bool normal_equations : {false, true}) {
+  for (const Real ridge : {Real{0}, std::numeric_limits<Real>::min()}) {
     LeastSquaresFitter::Options opt;
-    opt.use_normal_equations = normal_equations;
+    opt.ridge = ridge;
     const std::vector<Real> x = LeastSquaresFitter(opt).fit(a, b);
     ASSERT_EQ(x.size(), 4u);
     for (Real v : x) EXPECT_TRUE(std::isfinite(v));
@@ -89,7 +94,7 @@ TEST(LeastSquares, RankDeficientFallsBackToPivotedQr) {
     // though the coefficient split between the twin columns is not unique.
     const std::vector<Real> r = vsub(b, a * x);
     EXPECT_LT(max_abs(r), 1e-6)
-        << (normal_equations ? "normal equations" : "qr") << " path";
+        << (ridge > 0 ? "normal equations" : "qr") << " path";
   }
 }
 

@@ -7,11 +7,11 @@
 #include <gtest/gtest.h>
 
 #include "basis/hermite.hpp"
-#include "basis/quadrature.hpp"
 #include "core/model.hpp"
 #include "stats/descriptive.hpp"
 #include "stats/lhs.hpp"
 #include "stats/rng.hpp"
+#include "support/quadrature.hpp"
 
 namespace rsm {
 namespace {

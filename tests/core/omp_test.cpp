@@ -80,7 +80,8 @@ TEST(Omp, CoefficientsMatchLeastSquaresOnSupport) {
     for (std::size_t j = 0; j < sup.size(); ++j)
       g_sup.set_col(static_cast<Index>(j), g.col(sup[j]));
     const std::vector<Real> ls = QrFactorization(g_sup).solve(f);
-    const std::vector<Real>& omp = path.coefficients[static_cast<std::size_t>(t)];
+    const std::vector<Real>& omp =
+        path.coefficients[static_cast<std::size_t>(t)];
     for (std::size_t j = 0; j < sup.size(); ++j)
       EXPECT_NEAR(omp[j], ls[j], 1e-8) << "step " << t << " pos " << j;
   }
@@ -103,20 +104,6 @@ TEST(Omp, NeverSelectsSameColumnTwice) {
   std::set<Index> seen(path.selection_order.begin(),
                        path.selection_order.end());
   EXPECT_EQ(seen.size(), path.selection_order.size());
-}
-
-TEST(Omp, ResidualToleranceStopsEarly) {
-  Rng rng(106);
-  const Index k = 60, m = 100;
-  const Matrix g = monte_carlo_normal(k, m, rng);
-  std::vector<Real> alpha(static_cast<std::size_t>(m), 0.0);
-  alpha[5] = 1.0;
-  alpha[50] = 0.5;
-  const std::vector<Real> f = synthesize(g, alpha);
-  OmpSolver::Options opt;
-  opt.residual_tolerance = 1e-8;
-  const SolverPath path = OmpSolver(opt).fit_path(g, f, 50);
-  EXPECT_EQ(path.num_steps(), 2);  // exact sparsity reached, stop
 }
 
 TEST(Omp, SkipsNumericallyDependentColumns) {

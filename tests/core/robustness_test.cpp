@@ -9,7 +9,6 @@
 
 #include "core/cross_validation.hpp"
 #include "core/lar.hpp"
-#include "core/lasso_cd.hpp"
 #include "core/omp.hpp"
 #include "core/pipeline.hpp"
 #include "core/star.hpp"
@@ -30,7 +29,6 @@ TEST(Robustness, SizeMismatchThrowsEverywhere) {
   EXPECT_THROW((void)OmpSolver().fit_path(g, f_bad, 5), Error);
   EXPECT_THROW((void)StarSolver().fit_path(g, f_bad, 5), Error);
   EXPECT_THROW((void)LarSolver().fit_path(g, f_bad, 5), Error);
-  EXPECT_THROW((void)LassoCdSolver().fit_path(g, f_bad, 5), Error);
 }
 
 TEST(Robustness, NonPositiveMaxStepsThrows) {
@@ -161,15 +159,12 @@ class AllSolversDegenerate : public ::testing::TestWithParam<NamedSolver> {};
 const OmpSolver kOmp;
 const StarSolver kStar;
 const LarSolver kLar;
-const LassoCdSolver kLasso;
 
 TEST_P(AllSolversDegenerate, SingleSampleSingleColumn) {
   Matrix g(2, 1);
   g(0, 0) = 1.0;
   g(1, 0) = 1.0;
   const std::vector<Real> f{3.0, 3.0};
-  // Generous step budget: LASSO-CD interprets steps as penalty-grid points
-  // and needs several to relax the shrinkage toward the exact fit.
   const SolverPath path = GetParam().solver->fit_path(g, f, 40);
   ASSERT_GT(path.num_steps(), 0);
   const std::vector<Real> dense =
@@ -191,8 +186,7 @@ TEST_P(AllSolversDegenerate, ZeroTarget) {
 INSTANTIATE_TEST_SUITE_P(Solvers, AllSolversDegenerate,
                          ::testing::Values(NamedSolver{&kOmp},
                                            NamedSolver{&kStar},
-                                           NamedSolver{&kLar},
-                                           NamedSolver{&kLasso}));
+                                           NamedSolver{&kLar}));
 
 }  // namespace
 }  // namespace rsm

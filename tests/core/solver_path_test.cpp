@@ -27,12 +27,6 @@ TEST(SolverPath, PrefixSupports) {
   EXPECT_EQ(p.support(2), (std::vector<Index>{4, 1, 7}));
 }
 
-TEST(SolverPath, ExplicitActiveSetsOverridePrefix) {
-  SolverPath p = prefix_path();
-  p.active_sets = {{4}, {4, 1}, {1, 7}};  // drop event at step 2
-  EXPECT_EQ(p.support(2), (std::vector<Index>{1, 7}));
-}
-
 TEST(SolverPath, DenseCoefficientsScatter) {
   const SolverPath p = prefix_path();
   const std::vector<Real> dense = p.dense_coefficients(2, 10);
@@ -62,12 +56,6 @@ TEST(SolverPath, IndexOutsideColumnsThrows) {
   EXPECT_THROW((void)p.dense_coefficients(2, 5), Error);  // index 7 >= 5
 }
 
-TEST(SolverPath, MismatchedActiveSetSizeThrows) {
-  SolverPath p = prefix_path();
-  p.active_sets = {{4}};  // wrong length vs 3 steps
-  EXPECT_THROW((void)p.support(0), Error);
-}
-
 // Every solver scans through gemv_transposed, which splits G's columns over
 // the parallel_for pool when G is large and runs inline inside a ThreadPool
 // worker. The two must give the same path, bit for bit.
@@ -83,17 +71,14 @@ TEST(SolverPath, ParallelAndInlineScansGiveIdenticalPaths) {
         0.1 * f[static_cast<std::size_t>(r)] + 3.0 * g(r, 5) -
         2.0 * g(r, 77) + 0.5 * g(r, 1500);
 
-  LarSolver::Options lasso_options;
-  lasso_options.lasso = true;
   const OmpSolver omp;
   const StarSolver star;
   const LarSolver lar;
-  const LarSolver lasso(lasso_options);
   ThreadPool::Options pool_options;
   pool_options.num_threads = 1;
   ThreadPool pool(pool_options);
   for (const PathSolver* solver :
-       std::initializer_list<const PathSolver*>{&omp, &star, &lar, &lasso}) {
+       std::initializer_list<const PathSolver*>{&omp, &star, &lar}) {
     const SolverPath parallel = solver->fit_path(g, f, 40);
     SolverPath serial;
     pool.submit([&] { serial = solver->fit_path(g, f, 40); });
@@ -101,7 +86,6 @@ TEST(SolverPath, ParallelAndInlineScansGiveIdenticalPaths) {
     ASSERT_GT(parallel.num_steps(), 0) << solver->name();
     EXPECT_EQ(parallel.selection_order, serial.selection_order)
         << solver->name();
-    EXPECT_EQ(parallel.active_sets, serial.active_sets) << solver->name();
     EXPECT_EQ(parallel.coefficients, serial.coefficients) << solver->name();
     EXPECT_EQ(parallel.residual_norms, serial.residual_norms)
         << solver->name();

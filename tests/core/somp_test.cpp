@@ -100,16 +100,6 @@ TEST(Somp, SingleResponseReducesToOmp) {
     EXPECT_EQ(somp.support[i], omp.selection_order[i]) << "step " << i;
 }
 
-TEST(Somp, ScoreToleranceStopsEarly) {
-  const JointProblem prob = make_joint(80, 150, 3, 2, 805);
-  SompSolver::Options opt;
-  opt.score_tolerance = 1e-6;  // once the true support is absorbed, scores
-                               // collapse and the solver stops
-  const SompResult result = SompSolver(opt).fit(prob.g, prob.responses, 50);
-  EXPECT_LE(result.support.size(), 6u);
-  EXPECT_GE(result.support.size(), 3u);
-}
-
 TEST(Somp, ShapeValidation) {
   Rng rng(806);
   const Matrix g = monte_carlo_normal(20, 10, rng);

@@ -1,7 +1,7 @@
-#include "core/stagewise.hpp"
+#include "support/stagewise.hpp"
 
 #include <cmath>
-#include <set>
+#include <cstdint>
 
 #include <gtest/gtest.h>
 
@@ -26,8 +26,8 @@ TEST(Stagewise, ResidualDecreases) {
   Rng rng(701);
   const Matrix g = monte_carlo_normal(50, 60, rng);
   const std::vector<Real> f = rng.normal_vector(50);
-  const SolverPath path = StagewiseSolver().fit_path(g, f, 10);
-  ASSERT_GT(path.num_steps(), 1);
+  const StagewisePath path = stagewise_path(g, f, 10);
+  ASSERT_GT(path.num_records(), 1);
   for (std::size_t t = 1; t < path.residual_norms.size(); ++t)
     EXPECT_LE(path.residual_norms[t], path.residual_norms[t - 1] + 1e-12);
 }
@@ -38,10 +38,9 @@ TEST(Stagewise, FindsDominantColumnFirst) {
   std::vector<Real> alpha(40, 0.0);
   alpha[23] = 5.0;
   const std::vector<Real> f = synthesize(g, alpha);
-  const SolverPath path = StagewiseSolver().fit_path(g, f, 2);
-  const std::vector<Index> sup = path.support(0);
-  ASSERT_FALSE(sup.empty());
-  EXPECT_TRUE(std::find(sup.begin(), sup.end(), 23) != sup.end());
+  const StagewisePath path = stagewise_path(g, f, 2);
+  ASSERT_GT(path.num_records(), 0);
+  EXPECT_NE(path.coefficients[0][23], 0.0);
 }
 
 TEST(Stagewise, ConvergesToSparseTruth) {
@@ -52,67 +51,95 @@ TEST(Stagewise, ConvergesToSparseTruth) {
   alpha[10] = 1.5;
   alpha[99] = -1.0;
   const std::vector<Real> f = synthesize(g, alpha);
-  StagewiseSolver::Options opt;
+  StagewiseOptions opt;
   opt.epsilon = 0.02;
   opt.steps_per_record = 200;
-  const SolverPath path = StagewiseSolver(opt).fit_path(g, f, 10);
-  const std::vector<Real> dense =
-      path.dense_coefficients(path.num_steps() - 1, m);
+  const StagewisePath path = stagewise_path(g, f, 10, opt);
+  const std::vector<Real>& dense = path.coefficients.back();
   EXPECT_NEAR(dense[10], 1.5, 0.1);
   EXPECT_NEAR(dense[99], -1.0, 0.1);
   EXPECT_LT(path.residual_norms.back(), 0.1 * nrm2(f));
 }
 
+/// First LAR step at which some coefficient changes sign against the step
+/// before (num_steps() if none does).
+Index first_sign_change(const SolverPath& lar, Index num_columns) {
+  for (Index t = 1; t < lar.num_steps(); ++t) {
+    const std::vector<Real> before = lar.dense_coefficients(t - 1, num_columns);
+    const std::vector<Real> after = lar.dense_coefficients(t, num_columns);
+    for (std::size_t j = 0; j < before.size(); ++j)
+      if (before[j] != 0 && before[j] * after[j] <= 0) return t;
+  }
+  return lar.num_steps();
+}
+
 TEST(Stagewise, SmallEpsilonApproachesLarPath) {
-  // Efron et al.: as epsilon -> 0, stagewise traces the LAR path. Compare
-  // the coefficient vectors at matched residual norms.
-  Rng rng(704);
+  // Efron et al.: as epsilon -> 0, stagewise traces the LAR path. Stagewise
+  // only ever moves a coefficient the way its correlation points, so the
+  // two agree only until LAR turns a coefficient through zero; steps from
+  // there on are not compared. The equivalence holds for unit-norm columns
+  // (stagewise ranks raw correlations, LAR normalized ones), so G is
+  // normalized first. Coefficients are compared at matched residual norms,
+  // for several designs and two points along the path.
   const Index k = 60, m = 15;
-  const Matrix g = monte_carlo_normal(k, m, rng);
-  const std::vector<Real> f = rng.normal_vector(k);
-
-  const SolverPath lar = LarSolver().fit_path(g, f, 5);
-  ASSERT_GE(lar.num_steps(), 3);
-  const Real target_residual = lar.residual_norms[2];
-  const std::vector<Real> lar_dense = lar.dense_coefficients(2, m);
-
-  StagewiseSolver::Options opt;
+  StagewiseOptions opt;
   opt.epsilon = 0.002;
   opt.steps_per_record = 25;
-  const SolverPath stage = StagewiseSolver(opt).fit_path(g, f, 400);
-  // Find the stagewise record closest in residual norm.
-  Index best = 0;
-  Real best_gap = 1e300;
-  for (Index t = 0; t < stage.num_steps(); ++t) {
-    const Real gap = std::abs(stage.residual_norms[static_cast<std::size_t>(t)] -
-                              target_residual);
-    if (gap < best_gap) {
-      best_gap = gap;
-      best = t;
+  int compared = 0;
+  for (const std::uint64_t seed : {704u, 714u, 724u, 734u, 744u}) {
+    Rng rng(seed);
+    Matrix g = monte_carlo_normal(k, m, rng);
+    const std::vector<Real> f = rng.normal_vector(k);
+    for (Index j = 0; j < m; ++j) {
+      std::vector<Real> column = g.col(j);
+      scale(Real{1} / nrm2(column), column);
+      g.set_col(j, column);
+    }
+
+    const SolverPath lar = LarSolver().fit_path(g, f, 6);
+    ASSERT_GE(lar.num_steps(), 5) << "seed " << seed;
+    const Index cone_end = first_sign_change(lar, m);
+    const StagewisePath stage = stagewise_path(g, f, 400, opt);
+    for (const Index step : {Index{2}, Index{4}}) {
+      if (step >= cone_end) continue;
+      SCOPED_TRACE(::testing::Message() << "seed " << seed << " step " << step);
+      const Real target_residual =
+          lar.residual_norms[static_cast<std::size_t>(step)];
+      // The stagewise record closest in residual norm.
+      std::size_t closest = 0;
+      for (std::size_t r = 1; r < stage.residual_norms.size(); ++r)
+        if (std::abs(stage.residual_norms[r] - target_residual) <
+            std::abs(stage.residual_norms[closest] - target_residual))
+          closest = r;
+      const std::vector<Real>& stage_dense = stage.coefficients[closest];
+      const std::vector<Real> lar_dense = lar.dense_coefficients(step, m);
+      for (Index j = 0; j < m; ++j)
+        EXPECT_NEAR(stage_dense[static_cast<std::size_t>(j)],
+                    lar_dense[static_cast<std::size_t>(j)], 0.03)
+            << "j=" << j;
+      ++compared;
     }
   }
-  const std::vector<Real> stage_dense = stage.dense_coefficients(best, m);
-  for (Index j = 0; j < m; ++j)
-    EXPECT_NEAR(stage_dense[static_cast<std::size_t>(j)],
-                lar_dense[static_cast<std::size_t>(j)], 0.08)
-        << "j=" << j;
+  // Most (seed, step) pairs lie inside the cone; the check must not pass
+  // by comparing nothing.
+  EXPECT_GE(compared, 6);
 }
 
 TEST(Stagewise, ZeroTargetEmptyPath) {
   Rng rng(705);
   const Matrix g = monte_carlo_normal(20, 10, rng);
   const std::vector<Real> f(20, 0.0);
-  const SolverPath path = StagewiseSolver().fit_path(g, f, 5);
-  EXPECT_EQ(path.num_steps(), 0);
+  const StagewisePath path = stagewise_path(g, f, 5);
+  EXPECT_EQ(path.num_records(), 0);
 }
 
 TEST(Stagewise, InvalidOptionsThrow) {
   Rng rng(706);
   const Matrix g = monte_carlo_normal(10, 5, rng);
   const std::vector<Real> f = rng.normal_vector(10);
-  StagewiseSolver::Options opt;
+  StagewiseOptions opt;
   opt.epsilon = 0;
-  EXPECT_THROW((void)StagewiseSolver(opt).fit_path(g, f, 3), Error);
+  EXPECT_THROW((void)stagewise_path(g, f, 3, opt), Error);
 }
 
 }  // namespace

@@ -34,6 +34,8 @@ EXPECTED_RULE_FINDINGS = {
     "no-raw-thread": 2,        # std::thread, std::async (exact; see below)
     "no-naked-mutex": 3,       # std::mutex, std::condition_variable,
                                # std::lock_guard (exact; see below)
+    "orphan-module": 2,        # dead/orphan, dead/header_only (exact;
+                               # see below)
 }
 
 failures = []
@@ -103,6 +105,15 @@ def main():
     check(hits == 3,
           f"no-naked-mutex fires exactly three times on the fixture "
           f"(got {hits})")
+
+    # 3e. orphan-module is exact: live/used (reached from bench/) and
+    #     live/helper (reached only through used.cpp) stay silent, and the
+    #     umbrella src/rsm.hpp is neither a root nor reported itself.
+    orphans = sorted(line.split(":")[0] for line in full_out.splitlines()
+                     if "[orphan-module]" in line)
+    check(orphans == ["src/dead/header_only.hpp", "src/dead/orphan.hpp"],
+          f"orphan-module reports exactly the two dead modules "
+          f"(got {orphans})")
 
     # 4. Disabling every rule yields a clean exit on the fixture tree.
     code, _ = run_lint("--root", str(BADTREE), "--include-fixtures",
